@@ -10,19 +10,21 @@ Output contracts, fixed for regression testing:
   * exit codes: 0 success, 1 invariant failure, 2 config error,
     3 numerical failure.
 
-FLOWER_LAB_THREADS caps the trajectory-recording worker pool (runs are
-seeded per index, so worker count never changes the output bytes).
+solve draws every sample in one lockstep batch; with record_trajectory the
+first n_trajectories rows of that batch (raw runs, before n_avg averaging)
+are written out stage by stage.  The baselines draw from SeedSequence
+children of the seed, so they never share a stream with the solver.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +38,10 @@ from .flow import (
     standard_normal_sampler,
     train_cfm,
 )
-from .flower import FlowerConfig, FlowerRunError, run, run_batch, run_rng
+from .flower import FlowerRunError, run_batch
 from .gmm import posterior_linear_gaussian
 from .invariants import run_all
-from .metrics import empirical_moments, metric_report, sliced_w2
+from .metrics import covariance_logdet, empirical_moments, metric_report, sliced_w2
 from .mlp import load_checkpoint, save_checkpoint
 from .operators import SpdSolveError
 
@@ -78,17 +80,18 @@ def write_samples_csv(path, samples, cfg, seed):
             fh.write(f"{i}," + ",".join(fmt_float(v) for v in row) + "\n")
 
 
-def write_trajectory_csv(path, record, cfg, seed):
+def write_trajectory_csv(path, record, row, cfg, seed):
+    """The stages of trajectory `row` of a TrajectoryRecord, step by step."""
     with _open_lf(path) as fh:
         _header_lines(fh, cfg, seed)
-        d = record.x_t.shape[1]
+        d = record.x_t.shape[2]
         dims = ",".join(f"dim_{j}" for j in range(d))
         fh.write(f"step,t,stage,{dims}\n")
         stage_arrays = (record.x_t, record.x1_hat, record.mu, record.x1_tilde)
         for k in range(len(record)):
             t_str = fmt_float(record.t[k])
             for stage, arr in zip(TRAJECTORY_STAGES, stage_arrays):
-                vals = ",".join(fmt_float(v) for v in arr[k])
+                vals = ",".join(fmt_float(v) for v in arr[k, row])
                 fh.write(f"{k},{t_str},{stage},{vals}\n")
 
 
@@ -105,7 +108,21 @@ def _say(args, message):
         print(message)
 
 
-def _load_field(cfg: ExperimentConfig, args, workdir: Path):
+def _train_into(cfg: ExperimentConfig, train_cfg, directory: Path):
+    """Train the configured field; write checkpoint.flw and loss.csv into directory."""
+    field, losses = train_cfm(
+        cfg.prior.sample,
+        standard_normal_sampler(cfg.prior.dim),
+        cfg.coupling(),
+        train_cfg,
+        dim=cfg.prior.dim,
+    )
+    save_checkpoint(field.mlp, directory / "checkpoint.flw", extra={"config_sha256": cfg.sha256})
+    write_loss_csv(directory / "loss.csv", losses, cfg, train_cfg.seed)
+    return field, losses
+
+
+def _load_field(cfg: ExperimentConfig, workdir: Path):
     """Materialize the velocity field named by the config."""
     if cfg.field_kind == "analytic":
         return AnalyticGmmField(cfg.prior)
@@ -113,16 +130,7 @@ def _load_field(cfg: ExperimentConfig, args, workdir: Path):
         mlp, _ = load_checkpoint(cfg.checkpoint)
         return MlpField(mlp)
     # field_kind == "train": train in-process, persist next to the samples
-    field, losses = train_cfm(
-        cfg.prior.sample,
-        standard_normal_sampler(cfg.prior.dim),
-        cfg.coupling(),
-        cfg.train,
-        dim=cfg.prior.dim,
-    )
-    save_checkpoint(field.mlp, workdir / "checkpoint.flw", extra={"config_sha256": cfg.sha256})
-    write_loss_csv(workdir / "loss.csv", losses, cfg, cfg.train.seed)
-    return field
+    return _train_into(cfg, cfg.train, workdir)[0]
 
 
 def cmd_train(args) -> int:
@@ -131,52 +139,17 @@ def cmd_train(args) -> int:
         raise ConfigError(f"{cfg.path}: train requires a [train] section")
     train_cfg = cfg.train
     if args.seed is not None:
-        import dataclasses
-
         train_cfg = dataclasses.replace(train_cfg, seed=int(args.seed))
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _say(args, f"training {train_cfg.steps} steps (batch {train_cfg.batch_size}) ...")
-    field, losses = train_cfm(
-        cfg.prior.sample,
-        standard_normal_sampler(cfg.prior.dim),
-        cfg.coupling(),
-        train_cfg,
-        dim=cfg.prior.dim,
-    )
-    ckpt = cfg.output_dir / "checkpoint.flw"
-    save_checkpoint(field.mlp, ckpt, extra={"config_sha256": cfg.sha256})
-    write_loss_csv(cfg.output_dir / "loss.csv", losses, cfg, train_cfg.seed)
-    _say(args, f"wrote {ckpt} (final loss {losses[-1]:.6f})")
+    _, losses = _train_into(cfg, train_cfg, cfg.output_dir)
+    _say(args, f"wrote {cfg.output_dir / 'checkpoint.flw'} (final loss {losses[-1]:.6f})")
     return EXIT_OK
 
 
-def _record_trajectories(field, obs, solver, n_trajectories, workdir, cfg):
-    """One file per recorded run; worker count capped by FLOWER_LAB_THREADS."""
-    base = FlowerConfig(
-        n_steps=solver.n_steps,
-        gamma=solver.gamma,
-        noise_std=solver.noise_std,
-        seed=solver.seed,
-        n_avg=1,
-        record_trajectory=True,
-    )
-
-    def one(i):
-        _, record = run(field, obs, base, rng=run_rng(solver.seed, i))
-        return i, record
-
-    max_workers = int(os.environ.get("FLOWER_LAB_THREADS", "0")) or min(
-        4, os.cpu_count() or 1
-    )
-    if max_workers > 1 and n_trajectories > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(one, range(n_trajectories)))
-    else:
-        records = [one(i) for i in range(n_trajectories)]
-    for i, record in sorted(records):
-        write_trajectory_csv(
-            workdir / f"trajectory_run_{i:03d}.csv", record, cfg, solver.seed
-        )
+def _baseline_rng(seed: int, k: int) -> np.random.Generator:
+    """Baseline stream k: a SeedSequence child of seed, apart from default_rng(seed)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
 def cmd_solve(args) -> int:
@@ -186,19 +159,23 @@ def cmd_solve(args) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix=".solve-", dir=cfg.output_dir))
     try:
-        field = _load_field(cfg, args, scratch)
+        field = _load_field(cfg, scratch)
         _say(
             args,
             f"flower: N={solver.n_steps} gamma={solver.gamma} "
             f"n_samples={cfg.n_samples} n_avg={solver.n_avg}",
         )
         raw = run_batch(field, obs, solver, cfg.n_samples * solver.n_avg)
+        if solver.n_trajectories:
+            raw, record = raw
+            for i in range(solver.n_trajectories):
+                write_trajectory_csv(
+                    scratch / f"trajectory_run_{i:03d}.csv", record, i, cfg, solver.seed
+                )
         if solver.n_avg > 1:
             samples = raw.reshape(cfg.n_samples, solver.n_avg, -1).mean(axis=1)
         else:
             samples = raw
-        if not np.all(np.isfinite(samples)):
-            raise FlowerRunError(solver.n_steps - 1, ValueError("non-finite samples"))
         write_samples_csv(scratch / "flower_samples.csv", samples, cfg, solver.seed)
 
         reports = []
@@ -214,47 +191,43 @@ def cmd_solve(args) -> int:
 
         if cfg.baseline_exact_posterior:
             post = posterior_linear_gaussian(cfg.prior, obs)
-            rng = np.random.default_rng(solver.seed + 1)
+            rng = _baseline_rng(solver.seed, 1)
             exact = post.sample(rng, cfg.n_samples)
             write_samples_csv(scratch / "exact_posterior_samples.csv", exact, cfg, solver.seed)
-            proj_rng_seed = solver.seed + 2
-            dist = sliced_w2(samples, exact, rng=np.random.default_rng(proj_rng_seed))
+            # both distances project on the same directions, from stream 2
+            dist = sliced_w2(samples, exact, rng=_baseline_rng(solver.seed, 2))
             floor = sliced_w2(
                 post.sample(rng, cfg.n_samples),
                 post.sample(rng, cfg.n_samples),
-                rng=np.random.default_rng(proj_rng_seed),
+                rng=_baseline_rng(solver.seed, 2),
             )
             reports.append(
                 metric_report(
                     "sliced_w2_flower_vs_exact_posterior", dist,
-                    cfg.n_samples, cfg.n_samples, 128, proj_rng_seed,
+                    cfg.n_samples, cfg.n_samples, 128, solver.seed,
                 )
             )
             reports.append(
                 metric_report(
                     "sliced_w2_noise_floor", floor,
-                    cfg.n_samples, cfg.n_samples, 128, proj_rng_seed,
+                    cfg.n_samples, cfg.n_samples, 128, solver.seed,
                 )
             )
-            det_flower = float(np.linalg.det(cov))
-            det_exact = float(np.linalg.det(empirical_moments(exact)[1]))
-            extras["covariance_determinant"] = {
-                "flower": det_flower,
-                "exact_posterior": det_exact,
-                "tail_shrinkage": det_flower < det_exact,
+            logdet_flower = covariance_logdet(samples)
+            logdet_exact = covariance_logdet(exact)
+            singular = logdet_flower is None or logdet_exact is None
+            extras["covariance_log_determinant"] = {
+                "flower": logdet_flower,
+                "exact_posterior": logdet_exact,
+                "tail_shrinkage": None if singular else logdet_flower < logdet_exact,
             }
         if cfg.baseline_unconditional:
-            rng = np.random.default_rng(solver.seed + 3)
+            rng = _baseline_rng(solver.seed, 3)
             uncond = euler_sample(
                 field, rng.standard_normal((cfg.n_samples, cfg.prior.dim)),
                 solver.n_steps,
             )
             write_samples_csv(scratch / "unconditional_samples.csv", uncond, cfg, solver.seed)
-
-        if solver.record_trajectory:
-            _record_trajectories(
-                field, obs, solver, cfg.n_trajectories, scratch, cfg
-            )
 
         metrics_doc = {
             "config_sha256": cfg.sha256,

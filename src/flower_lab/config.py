@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 import configparser
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .flow import IndependentCoupling, MinibatchOTCoupling, TrainConfig
@@ -47,7 +47,6 @@ class ExperimentConfig:
     coupling_name: str
     solver: FlowerConfig
     n_samples: int
-    n_trajectories: int
     baseline_exact_posterior: bool
     baseline_unconditional: bool
     output_dir: Path
@@ -229,23 +228,24 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
             noise_std=solver_sec.number("noise_std", default=observation.noise_std),
             seed=solver_sec.integer("seed", default=0),
             n_avg=solver_sec.integer("n_avg", default=1),
-            record_trajectory=solver_sec.flag("record_trajectory", default=False),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: [solver] {exc}") from exc
-    if seed_override is not None:
-        solver = FlowerConfig(
-            n_steps=solver.n_steps,
-            gamma=solver.gamma,
-            noise_std=solver.noise_std,
-            seed=int(seed_override),
-            n_avg=solver.n_avg,
-            record_trajectory=solver.record_trajectory,
-        )
     n_samples = solver_sec.integer("n_samples", default=1000)
     if n_samples < 1:
         raise ConfigError(f"{path}: [solver] n_samples must be >= 1")
-    n_trajectories = solver_sec.integer("n_trajectories", default=8)
+    if solver_sec.flag("record_trajectory", default=False):
+        # the recorded trajectories are the first rows of the sampled batch
+        n_trajectories = solver_sec.integer("n_trajectories", default=8)
+        n_runs = n_samples * solver.n_avg
+        if not 1 <= n_trajectories <= n_runs:
+            raise ConfigError(
+                f"{path}: [solver] n_trajectories must be in 1..{n_runs} "
+                f"(n_samples * n_avg), got {n_trajectories}"
+            )
+        solver = replace(solver, n_trajectories=n_trajectories)
+    if seed_override is not None:
+        solver = replace(solver, seed=int(seed_override))
 
     base_sec = section("baselines", required=False)
     baseline_exact = base_sec.flag("exact_posterior_samples") if base_sec else False
@@ -269,7 +269,6 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
         coupling_name=coupling_name,
         solver=solver,
         n_samples=n_samples,
-        n_trajectories=n_trajectories,
         baseline_exact_posterior=baseline_exact,
         baseline_unconditional=baseline_uncond,
         output_dir=out_dir,

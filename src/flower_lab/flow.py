@@ -24,7 +24,6 @@ __all__ = [
     "euler_sample",
     "IndependentCoupling",
     "MinibatchOTCoupling",
-    "pair_batch",
     "cfm_loss",
     "TrainConfig",
     "TrainingDivergedError",
@@ -139,11 +138,6 @@ class MinibatchOTCoupling:
         cost = sq0 + sq1 - 2.0 * (x0s @ x1s.T)
         _, cols = linear_sum_assignment(cost)
         return cols
-
-
-def pair_batch(coupling, x0s, x1s, rng=None):
-    """Apply a coupling to two equal-size batches, returning paired rows."""
-    return coupling.pair(x0s, x1s, rng)
 
 
 def pairing_cost(x0s, x1s) -> float:

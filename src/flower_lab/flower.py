@@ -12,14 +12,17 @@ One iteration at time t = k/N:
 The schedule runs k = 0..N-1, so the refinement never sees t = 1 and the
 final progression lands on t = 1 exactly, returning x1_tilde unchanged.
 
-All step functions accept a single state ``(d,)`` or a lockstep batch
-``(n, d)``; ``run`` drives one trajectory, ``run_batch`` drives many in
-parallel with shared per-step factorizations.
+The step functions accept a single state ``(d,)`` or a lockstep batch
+``(n, d)``.  ``run_batch`` is the one driver: it moves a batch of ``n``
+trajectories in lockstep from one stream, sharing each step's
+factorization, and can record the first rows of every stage.  A non-finite
+state stops it at the step and stage where it appears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -38,10 +41,7 @@ __all__ = [
     "sample_kappa",
     "refine",
     "time_progress",
-    "run",
-    "run_averaged",
     "run_batch",
-    "run_rng",
 ]
 
 
@@ -62,7 +62,7 @@ class FlowerConfig:
     noise_std: float
     seed: int = 0
     n_avg: int = 1
-    record_trajectory: bool = False
+    n_trajectories: int = 0
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -73,11 +73,17 @@ class FlowerConfig:
             raise ValueError("noise_std must be > 0")
         if self.n_avg < 1:
             raise ValueError("n_avg must be >= 1")
+        if self.n_trajectories < 0:
+            raise ValueError("n_trajectories must be >= 0")
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Per-step snapshots; arrays have one row per iteration, t[k] = k/N."""
+    """Per-step snapshots of the first rows of a batch, t[k] = k/N.
+
+    Each stage array has shape (n_steps, n_trajectories, d): entry [k, i]
+    is row i of that stage at step k.
+    """
 
     t: np.ndarray
     x_t: np.ndarray
@@ -98,11 +104,12 @@ class FlowerRunError(RuntimeError):
 
 
 class _ProxSolver:
-    """Shared solve machinery for (nu_t^-2 I + s^-2 H^T H) z = rhs.
+    """The proximal system (nu_t^-2 I + s^-2 H^T H) z = rhs of one observation.
 
-    Dense Cholesky for small systems (one factorization per time, shared
-    across batch rows and across the mean/kappa solves of a step),
-    matrix-free CG otherwise.
+    Builds the right-hand sides of the refinement mean and of the kappa
+    draw, and solves them: dense Cholesky for small systems (one
+    factorization per time, shared across batch rows and across the
+    mean/kappa solves of a step), matrix-free CG otherwise.
     """
 
     def __init__(self, obs: LinearGaussianObservation, opts: SpdSolveOptions | None):
@@ -116,6 +123,23 @@ class _ProxSolver:
         )
         self._factor_t = None
         self._factor = None
+
+    @cached_property
+    def _data_rhs(self) -> np.ndarray:
+        """s^-2 H^T y, the data part of the mean's right-hand side."""
+        obs = self.obs
+        return obs.operator.apply_adjoint(obs.observation) / (obs.noise_std**2)
+
+    def mean(self, x1_hat: np.ndarray, t: float) -> np.ndarray:
+        return self.solve(x1_hat / nu(t) ** 2 + self._data_rhs, t)
+
+    def kappa(self, t: float, rng: np.random.Generator, size: int | None) -> np.ndarray:
+        """Sigma_t (nu_t^-1 eps1 + s^-1 H^T eps2), drawing eps1 then eps2."""
+        op = self.obs.operator
+        eps1 = rng.standard_normal((op.in_dim,) if size is None else (size, op.in_dim))
+        eps2 = rng.standard_normal((op.out_dim,) if size is None else (size, op.out_dim))
+        rhs = eps1 / nu(t) + op.apply_adjoint(eps2) / self.obs.noise_std
+        return self.solve(rhs, t)
 
     def solve(self, rhs: np.ndarray, t: float) -> np.ndarray:
         inv_nu2 = 1.0 / nu(t) ** 2
@@ -153,13 +177,7 @@ def refine_mean(
     """Step 2 mean: the proximal point balancing x1_hat against the data."""
     if t >= 1.0:
         raise ValueError("refinement requires t < 1 (nu_t > 0)")
-    x1_hat = np.asarray(x1_hat, dtype=float)
-    return _ProxSolver(obs, solver).solve(_refine_rhs(x1_hat, obs, t), t)
-
-
-def _refine_rhs(x1_hat, obs, t):
-    hty = obs.operator.apply_adjoint(obs.observation)
-    return x1_hat / nu(t) ** 2 + hty / (obs.noise_std**2)
+    return _ProxSolver(obs, solver).mean(np.asarray(x1_hat, dtype=float), t)
 
 
 def sample_kappa(
@@ -177,13 +195,7 @@ def sample_kappa(
     """
     if t >= 1.0:
         raise ValueError("kappa is defined for t < 1 (nu_t > 0)")
-    d, m = obs.operator.in_dim, obs.operator.out_dim
-    shape1 = (d,) if size is None else (size, d)
-    shape2 = (m,) if size is None else (size, m)
-    eps1 = rng.standard_normal(shape1)
-    eps2 = rng.standard_normal(shape2)
-    rhs = eps1 / nu(t) + obs.operator.apply_adjoint(eps2) / obs.noise_std
-    return _ProxSolver(obs, solver).solve(rhs, t)
+    return _ProxSolver(obs, solver).kappa(t, rng, size)
 
 
 def refine(
@@ -221,92 +233,37 @@ def time_progress(x1_tilde, t: float, dt: float, rng: np.random.Generator) -> np
     return (1.0 - s) * eps + s * x1_tilde
 
 
-def run_rng(seed: int, run_index: int) -> np.random.Generator:
-    """Independent per-run stream, order-insensitive in run_index."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(run_index,))
-    )
+def _require_finite(k: int, arr: np.ndarray, stage: str):
+    if not np.all(np.isfinite(arr)):
+        raise FlowerRunError(k, FloatingPointError(f"non-finite {stage} output"))
 
 
-def _solver_obs(obs: LinearGaussianObservation, cfg: FlowerConfig):
-    """The observation as the solver sees it: cfg.noise_std wins."""
-    if cfg.noise_std == obs.noise_std:
-        return obs
-    return replace(obs, noise_std=cfg.noise_std)
-
-
-def _iterate(field, obs, cfg, rng, x, record):
-    """Shared driver for single and batched runs; x is (d,) or (n, d)."""
-    n_steps = cfg.n_steps
-    snapshots = [] if record else None
+def _iterate(field, obs, cfg, rng, x):
+    """The lockstep iteration of a batch x of shape (n, d)."""
+    n_steps, n_rec = cfg.n_steps, cfg.n_trajectories
+    snapshots = []
     solver = _ProxSolver(obs, None)
     for k in range(n_steps):
         t = k / n_steps
         dt = (k + 1) / n_steps - t
         try:
             x1_hat = destination_estimate(field, x, t)
-            mu = solver.solve(_refine_rhs(x1_hat, obs, t), t)
-            if cfg.gamma == 1:
-                size = None if mu.ndim == 1 else mu.shape[0]
-                x1_tilde = mu + _kappa_from(solver, obs, t, rng, size)
-            else:
-                x1_tilde = mu
-            if record:
-                snapshots.append((t, x.copy(), x1_hat, mu, x1_tilde))
+            _require_finite(k, x1_hat, "field (x1_hat)")
+            mu = solver.mean(x1_hat, t)
+            x1_tilde = mu + solver.kappa(t, rng, mu.shape[0]) if cfg.gamma == 1 else mu
+            _require_finite(k, x1_tilde, "prox (x1_tilde)")
+            if n_rec:
+                # copies, so a record does not keep every step's (n, d) arrays alive
+                snapshots.append((t, *(a[:n_rec].copy() for a in (x, x1_hat, mu, x1_tilde))))
             x = time_progress(x1_tilde, t, dt, rng)
+            _require_finite(k, x, "progression (x_t)")
         except FlowerRunError:
             raise
         except Exception as exc:
             raise FlowerRunError(k, exc) from exc
-    if record:
-        ts, xts, hats, mus, tildes = (np.stack(cols) for cols in zip(*snapshots))
-        return x, TrajectoryRecord(ts, xts, hats, mus, tildes)
-    return x, None
-
-
-def _kappa_from(solver, obs, t, rng, size):
-    d, m = obs.operator.in_dim, obs.operator.out_dim
-    eps1 = rng.standard_normal((d,) if size is None else (size, d))
-    eps2 = rng.standard_normal((m,) if size is None else (size, m))
-    rhs = eps1 / nu(t) + obs.operator.apply_adjoint(eps2) / obs.noise_std
-    return solver.solve(rhs, t)
-
-
-def run(
-    field: VelocityField,
-    obs: LinearGaussianObservation,
-    cfg: FlowerConfig,
-    rng: np.random.Generator | None = None,
-):
-    """One full trajectory from fresh source noise to a posterior draw.
-
-    Returns x1, or (x1, TrajectoryRecord) when cfg.record_trajectory.
-    """
-    obs = _solver_obs(obs, cfg)
-    if rng is None:
-        rng = run_rng(cfg.seed, 0)
-    x0 = rng.standard_normal(obs.operator.in_dim)
-    x1, record = _iterate(field, obs, cfg, rng, x0, cfg.record_trajectory)
-    if cfg.record_trajectory:
-        return x1, record
-    return x1
-
-
-def run_averaged(
-    field: VelocityField, obs: LinearGaussianObservation, cfg: FlowerConfig
-) -> np.ndarray:
-    """Coordinate-wise mean over cfg.n_avg independent runs.
-
-    A point estimator, not a posterior sample: averaging collapses the
-    spread that gamma = 1 deliberately preserves.  Per-run streams are
-    derived from (seed, run_index), so the result does not depend on
-    execution order.
-    """
-    base = replace(cfg, record_trajectory=False)
-    outs = [
-        run(field, obs, base, rng=run_rng(cfg.seed, i)) for i in range(cfg.n_avg)
-    ]
-    return np.mean(outs, axis=0)
+    if n_rec:
+        return x, TrajectoryRecord(*(np.stack(col) for col in zip(*snapshots)))
+    return x
 
 
 def run_batch(
@@ -315,17 +272,27 @@ def run_batch(
     cfg: FlowerConfig,
     n_runs: int,
     rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """n_runs lockstep trajectories sharing per-step factorizations.
+):
+    """n_runs lockstep trajectories from fresh source noise to posterior draws.
 
-    Statistically identical to n_runs independent `run` calls but drawing
-    from one batch stream; deterministic given (cfg.seed, n_runs).
+    Rows share each step's factorization and draw from one stream (by
+    default ``default_rng(cfg.seed)``: x0, then per step eps1 and eps2 of
+    the kappa draw when gamma = 1 and the progression noise), so the output
+    is deterministic given (cfg.seed, n_runs).  The solver assumes
+    cfg.noise_std, whatever the observation's.  Returns x1 of shape
+    (n_runs, d), or (x1, TrajectoryRecord) of the first cfg.n_trajectories
+    rows when that is above 0.
+
+    Raises:
+        FlowerRunError: a step failed or produced a non-finite state.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    obs = _solver_obs(obs, cfg)
+    if cfg.n_trajectories > n_runs:
+        raise ValueError(f"cannot record {cfg.n_trajectories} of {n_runs} runs")
+    if cfg.noise_std != obs.noise_std:
+        obs = replace(obs, noise_std=cfg.noise_std)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     x0 = rng.standard_normal((n_runs, obs.operator.in_dim))
-    x1, _ = _iterate(field, obs, cfg, rng, x0, record=False)
-    return x1
+    return _iterate(field, obs, cfg, rng, x0)

@@ -10,45 +10,21 @@ absolute numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 __all__ = [
-    "SampleSet",
     "wasserstein1d",
     "sliced_w2",
     "empirical_moments",
+    "covariance_logdet",
     "exact_w2",
     "metric_report",
 ]
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """An (n, d) array of samples with an optional label."""
-
-    array: np.ndarray
-    label: str | None = None
-
-    def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.array, dtype=float))
-        if arr.shape[0] < 1:
-            raise ValueError("a sample set needs at least one sample")
-        object.__setattr__(self, "array", arr)
-
-    @property
-    def n(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[1]
-
-
 def _as_samples(s) -> np.ndarray:
-    return s.array if isinstance(s, SampleSet) else np.atleast_2d(np.asarray(s, float))
+    return np.atleast_2d(np.asarray(s, float))
 
 
 def wasserstein1d(a, b) -> float:
@@ -94,6 +70,21 @@ def empirical_moments(s):
     centered = x - mean
     cov = centered.T @ centered / (x.shape[0] - 1)
     return mean, cov
+
+
+def covariance_logdet(s) -> float | None:
+    """log det of the sample covariance by slogdet; None when it is singular.
+
+    The plain determinant underflows to 0 in a few hundred dimensions, long
+    before the covariance degenerates.  With n <= d samples the covariance
+    has rank at most n - 1 < d, so it is singular whatever sign rounding
+    gives its slogdet.
+    """
+    x = _as_samples(s)
+    sign, logdet = np.linalg.slogdet(empirical_moments(x)[1])
+    if x.shape[0] <= x.shape[1] or sign <= 0:
+        return None
+    return float(logdet)
 
 
 def exact_w2(a, b, max_n: int = 2048) -> float:

@@ -329,11 +329,3 @@ def solve_spd(
         )
     return x
 
-
-OPERATOR_VARIANTS = {
-    "dense": DenseOperator,
-    "row_vector": RowVectorOperator,
-    "mask": MaskOperator,
-    "circulant1d": Circulant1DOperator,
-    "scaled_identity": ScaledIdentityOperator,
-}

@@ -12,7 +12,6 @@ from flower_lab.flow import (
     TrainingDivergedError,
     cfm_loss,
     euler_sample,
-    pair_batch,
     pairing_cost,
     standard_normal_sampler,
     train_cfm,
@@ -107,7 +106,7 @@ class TestCouplings:
         x0 = np.array([[1.0, 2.0]])
         x1 = np.array([[3.0, 4.0]])
         for coupling in (IndependentCoupling(), MinibatchOTCoupling()):
-            a, b = pair_batch(coupling, x0, x1)
+            a, b = coupling.pair(x0, x1)
             np.testing.assert_array_equal(a, x0)
             np.testing.assert_array_equal(b, x1)
 
@@ -146,7 +145,7 @@ class TestCouplings:
 
     def test_batch_size_mismatch(self):
         with pytest.raises(ValueError):
-            pair_batch(IndependentCoupling(), np.zeros((3, 2)), np.zeros((4, 2)))
+            IndependentCoupling().pair(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
 class TestCfmLoss:

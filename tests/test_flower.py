@@ -1,8 +1,11 @@
 """The three-step solver: schedule, refinement, noise law and full runs."""
 
+import configparser
+
 import numpy as np
 import pytest
 
+from flower_lab.cli import main
 from flower_lab.flow import AnalyticGmmField
 from flower_lab.flower import (
     FlowerConfig,
@@ -11,10 +14,7 @@ from flower_lab.flower import (
     nu,
     refine,
     refine_mean,
-    run,
-    run_averaged,
     run_batch,
-    run_rng,
     sample_kappa,
     time_progress,
 )
@@ -31,6 +31,7 @@ from flower_lab.operators import (
     ScaledIdentityOperator,
 )
 
+from conftest import MINI_TOY
 from oracles import covariance_standard_errors, mean_standard_errors
 
 
@@ -285,14 +286,45 @@ class TestJointMoments:
         assert np.all(np.abs(emp - cov_oracle) <= 3 * covariance_standard_errors(nxt))
 
 
+class FailsAtStep:
+    """A zero field that raises, or returns NaN, at one step of an n-step run."""
+
+    def __init__(self, step, n_steps, nan=False):
+        self.bad_t = step / n_steps
+        self.nan = nan
+
+    def eval(self, x, t):
+        if t != self.bad_t:
+            return np.zeros_like(x)
+        if self.nan:
+            return np.full_like(x, np.nan)
+        raise RuntimeError("synthetic failure")
+
+
+def solve_samples(directory, **solver_keys):
+    """flower_samples.csv of `flower-lab solve` on the first toy problem."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(MINI_TOY)
+    parser["solver"].update({k: str(v) for k, v in solver_keys.items()})
+    parser["baselines"] = {"exact_posterior_samples": "false"}
+    directory.mkdir(exist_ok=True)
+    path = directory / "solve.cfg"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    out = directory / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    rows = (out / "flower_samples.csv").read_text().splitlines()[3:]
+    return np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+
+
 class TestRun:
     def test_single_step_schedule(self, toy_prior, toy1_obs):
         """N=1: estimate at t=0, refine, and land on the refinement."""
         field = AnalyticGmmField(toy_prior)
         cfg = FlowerConfig(n_steps=1, gamma=0, noise_std=0.25, seed=123)
-        out = run(field, toy1_obs, cfg)
-        rng = run_rng(123, 0)
-        x0 = rng.standard_normal(2)
+        out = run_batch(field, toy1_obs, cfg, 3)
+        x0 = np.random.default_rng(123).standard_normal((3, 2))
         xhat = destination_estimate(field, x0, 0.0)
         np.testing.assert_allclose(out, refine_mean(xhat, toy1_obs, 0.0), rtol=1e-12)
 
@@ -300,95 +332,86 @@ class TestRun:
         field = AnalyticGmmField(toy_prior)
         cfg = FlowerConfig(n_steps=20, gamma=1, noise_std=0.25, seed=7)
         np.testing.assert_array_equal(
-            run(field, toy1_obs, cfg), run(field, toy1_obs, cfg)
+            run_batch(field, toy1_obs, cfg, 4), run_batch(field, toy1_obs, cfg, 4)
         )
         other = FlowerConfig(n_steps=20, gamma=1, noise_std=0.25, seed=8)
-        assert np.any(run(field, toy1_obs, cfg) != run(field, toy1_obs, other))
+        assert np.any(run_batch(field, toy1_obs, cfg, 4) != run_batch(field, toy1_obs, other, 4))
 
     def test_trajectory_record_shape_and_times(self, toy_prior, toy1_obs):
         field = AnalyticGmmField(toy_prior)
-        cfg = FlowerConfig(
-            n_steps=16, gamma=1, noise_std=0.25, seed=3, record_trajectory=True
-        )
-        x1, record = run(field, toy1_obs, cfg)
+        cfg = FlowerConfig(n_steps=16, gamma=1, noise_std=0.25, seed=3, n_trajectories=3)
+        x1, record = run_batch(field, toy1_obs, cfg, 5)
         assert len(record) == 16
         np.testing.assert_allclose(record.t, np.arange(16) / 16, rtol=0)
         for arr in (record.x_t, record.x1_hat, record.mu, record.x1_tilde):
-            assert arr.shape == (16, 2)
+            assert arr.shape == (16, 3, 2)
+        # the record follows the first rows of the batch from their source noise
+        np.testing.assert_array_equal(
+            record.x_t[0], np.random.default_rng(3).standard_normal((5, 2))[:3]
+        )
         # the last refinement is the returned sample (terminal step is exact)
-        np.testing.assert_array_equal(record.x1_tilde[-1], x1)
+        np.testing.assert_array_equal(record.x1_tilde[-1], x1[:3])
+        # recording changes nothing in the samples
+        plain = FlowerConfig(n_steps=16, gamma=1, noise_std=0.25, seed=3)
+        np.testing.assert_array_equal(run_batch(field, toy1_obs, plain, 5), x1)
+        with pytest.raises(ValueError, match="record"):
+            run_batch(field, toy1_obs, cfg, 2)
 
-    def test_component_errors_carry_step_index(self, toy_prior, toy1_obs):
-        class FailsAtStep:
-            def __init__(self, step, n_steps):
-                self.bad_t = step / n_steps
-
-            def eval(self, x, t):
-                if t == self.bad_t:
-                    raise RuntimeError("synthetic failure")
-                return np.zeros_like(x)
-
+    def test_component_errors_carry_step_index(self, toy1_obs):
         cfg = FlowerConfig(n_steps=10, gamma=0, noise_std=0.25, seed=1)
         with pytest.raises(FlowerRunError) as err:
-            run(FailsAtStep(3, 10), toy1_obs, cfg)
+            run_batch(FailsAtStep(3, 10), toy1_obs, cfg, 4)
         assert err.value.step == 3
         assert "step 3" in str(err.value)
+
+    def test_non_finite_field_output_stops_at_its_step(self, toy1_obs):
+        cfg = FlowerConfig(n_steps=10, gamma=1, noise_std=0.25, seed=1)
+        with pytest.raises(FlowerRunError) as err:
+            run_batch(FailsAtStep(3, 10, nan=True), toy1_obs, cfg, 4)
+        assert err.value.step == 3
+        assert "field" in str(err.value)
 
     def test_solver_noise_level_overrides_observation(self, toy_prior, toy1_obs):
         """cfg.noise_std is what the solver assumes in its refinement."""
         field = AnalyticGmmField(toy_prior)
         loose = FlowerConfig(n_steps=5, gamma=0, noise_std=5.0, seed=11)
         tight = FlowerConfig(n_steps=5, gamma=0, noise_std=0.25, seed=11)
-        assert np.any(run(field, toy1_obs, loose) != run(field, toy1_obs, tight))
+        assert np.any(run_batch(field, toy1_obs, loose, 4) != run_batch(field, toy1_obs, tight, 4))
 
 
 class TestRunAveraged:
-    def test_n_avg_one_equals_run(self, toy_prior, toy1_obs):
-        field = AnalyticGmmField(toy_prior)
-        cfg = FlowerConfig(n_steps=12, gamma=1, noise_std=0.25, seed=21, n_avg=1)
+    """n_avg > 1 is the reshape-mean solve applies to n_samples * n_avg runs."""
+
+    def test_n_avg_one_equals_run(self, toy_prior, toy1_obs, tmp_path):
+        samples = solve_samples(tmp_path, n_steps=12, seed=21, n_avg=1, n_samples=30)
+        cfg = FlowerConfig(n_steps=12, gamma=1, noise_std=0.25, seed=21)
         np.testing.assert_array_equal(
-            run_averaged(field, toy1_obs, cfg),
-            run(field, toy1_obs, cfg, rng=run_rng(21, 0)),
+            samples, run_batch(AnalyticGmmField(toy_prior), toy1_obs, cfg, 30)
         )
 
-    def test_variance_scales_inversely_with_n_avg(self, toy_prior, toy1_obs):
-        field = AnalyticGmmField(toy_prior)
-        n_avg, repeats, n_steps = 4, 200, 25
-        singles, averaged = [], []
-        for i in range(repeats):
-            cfg1 = FlowerConfig(n_steps=n_steps, gamma=1, noise_std=0.25, seed=1000 + i)
-            cfg4 = FlowerConfig(
-                n_steps=n_steps, gamma=1, noise_std=0.25, seed=5000 + i, n_avg=n_avg
-            )
-            singles.append(run(field, toy1_obs, cfg1))
-            averaged.append(run_averaged(field, toy1_obs, cfg4))
-        var_single = np.trace(np.cov(np.array(singles).T))
-        var_avg = np.trace(np.cov(np.array(averaged).T))
-        ratio = var_avg / var_single
+    def test_variance_scales_inversely_with_n_avg(self, tmp_path):
+        singles = solve_samples(tmp_path / "1", seed=1000, n_avg=1, n_samples=400)
+        averaged = solve_samples(tmp_path / "4", seed=5000, n_avg=4, n_samples=400)
+        ratio = np.trace(np.cov(averaged.T)) / np.trace(np.cov(singles.T))
         assert 0.12 <= ratio <= 0.45  # ~1/4 up to Monte Carlo noise
 
-    def test_averaging_improves_posterior_mean_estimate(self, toy_prior, toy1_obs):
-        field = AnalyticGmmField(toy_prior)
+    def test_averaging_improves_posterior_mean_estimate(self, toy_prior, toy1_obs, tmp_path):
         post_mean = posterior_linear_gaussian(toy_prior, toy1_obs).mean()
-        err1, err5 = 0.0, 0.0
-        for i in range(100):
-            cfg1 = FlowerConfig(n_steps=40, gamma=0, noise_std=0.25, seed=9000 + i)
-            cfg5 = FlowerConfig(
-                n_steps=40, gamma=0, noise_std=0.25, seed=9000 + i, n_avg=5
-            )
-            err1 += np.sum((run(field, toy1_obs, cfg1, rng=run_rng(9000 + i, 0)) - post_mean) ** 2)
-            err5 += np.sum((run_averaged(field, toy1_obs, cfg5) - post_mean) ** 2)
-        assert err5 <= err1
+        keys = dict(n_steps=40, gamma=0, seed=9000, n_samples=100)
+        single = solve_samples(tmp_path / "1", n_avg=1, **keys)
+        averaged = solve_samples(tmp_path / "5", n_avg=5, **keys)
+        assert np.sum((averaged - post_mean) ** 2) <= np.sum((single - post_mean) ** 2)
 
 
 class TestRunBatch:
     def test_matches_single_run_distribution(self, toy_prior, toy1_obs):
+        """A lockstep batch has the law of independent single-row runs."""
         field = AnalyticGmmField(toy_prior)
         cfg = FlowerConfig(n_steps=50, gamma=1, noise_std=0.25, seed=77)
         batch = run_batch(field, toy1_obs, cfg, n_runs=400)
-        singles = np.stack(
+        singles = np.concatenate(
             [
-                run(field, toy1_obs, cfg, rng=run_rng(77, i))
+                run_batch(field, toy1_obs, cfg, 1, rng=np.random.default_rng([77, i]))
                 for i in range(400)
             ]
         )

@@ -11,46 +11,9 @@ from flower_lab.cli import fmt_float, main
 from flower_lab.config import ConfigError, load_config
 from flower_lab.mlp import load_checkpoint
 
+from conftest import MINI_TOY
+
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
-
-MINI_TOY = """\
-[prior]
-weights = [0.3333333333333333, 0.3333333333333333, 0.3333333333333333]
-means = [[-0.25, -0.25], [-0.25, 0.25], [0.25, -0.25]]
-covariance = 0.0625
-
-[observation]
-operator = row_vector
-h = [1.5, 1.5]
-noise_std = 0.25
-y = [1.0]
-
-[field]
-kind = analytic
-
-[train]
-batch_size = 64
-steps = 40
-learning_rate = 0.001
-seed = 3
-hidden_sizes = (16, 16)
-dtype = float64
-
-[solver]
-n_steps = 25
-gamma = 1
-seed = 5
-n_samples = 40
-record_trajectory = false
-n_trajectories = 2
-
-[baselines]
-exact_posterior_samples = true
-unconditional_samples = true
-
-[outputs]
-directory = out
-"""
 
 
 @pytest.fixture
@@ -107,6 +70,19 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="gamma"):
             load_config(path)
 
+    @pytest.mark.parametrize("n_trajectories, fits", [(0, False), (1, True), (80, True), (81, False)])
+    def test_n_trajectories_must_fit_the_batch(self, tmp_path, n_trajectories, fits):
+        """Recorded rows come from the n_samples * n_avg = 80 sampled runs."""
+        text = MINI_TOY.replace("record_trajectory = false", "record_trajectory = true\nn_avg = 2")
+        path = tmp_path / "traj.cfg"
+        path.write_text(text.replace("n_trajectories = 2", f"n_trajectories = {n_trajectories}"))
+        if fits:
+            assert load_config(path).solver.n_trajectories == n_trajectories
+            return
+        with pytest.raises(ConfigError, match="n_trajectories"):
+            load_config(path)
+        assert main(["solve", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG
+
     def test_checkpoint_must_exist_for_mlp_field(self, tmp_path):
         text = MINI_TOY.replace(
             "kind = analytic", "kind = mlp\ncheckpoint = missing.flw"
@@ -139,7 +115,9 @@ class TestSolve:
         assert "sliced_w2_noise_floor" in metrics
         assert metrics["sliced_w2_noise_floor"]["n_projections"] == 128
         assert doc["seed"] == 5
-        assert doc["covariance_determinant"]["exact_posterior"] > 0
+        logdets = doc["covariance_log_determinant"]
+        assert np.isfinite(logdets["flower"]) and np.isfinite(logdets["exact_posterior"])
+        assert isinstance(logdets["tail_shrinkage"], bool)
         assert "residual_linf" in doc
         assert doc["moments"]["mean"] and doc["moments"]["covariance"]
 
@@ -160,27 +138,28 @@ class TestSolve:
         b = (out_b / "flower_samples.csv").read_bytes()
         assert a != b
 
-    def test_trajectories_have_stage_rows(self, mini_config, tmp_path, monkeypatch):
+    def test_trajectories_have_stage_rows(self, mini_config, tmp_path):
+        """Trajectory files follow the first rows of the sampled batch."""
         text = MINI_TOY.replace("record_trajectory = false", "record_trajectory = true")
         path = mini_config.parent / "traj.cfg"
         path.write_text(text)
-        out = tmp_path / "traj"
-        monkeypatch.setenv("FLOWER_LAB_THREADS", "2")
-        assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == 0
-        files = sorted(out.glob("trajectory_run_*.csv"))
-        assert len(files) == 2
-        lines = read_csv_body(files[0])
-        assert lines[2] == "step,t,stage,dim_0,dim_1"
-        body = lines[3:]
-        assert len(body) == 25 * 4
-        assert [row.split(",")[2] for row in body[:4]] == ["xt", "xhat1", "mu", "xtilde1"]
-        # worker count must not change bytes
-        out_seq = tmp_path / "traj_seq"
-        monkeypatch.setenv("FLOWER_LAB_THREADS", "1")
-        assert main(["solve", "--config", str(path), "--out", str(out_seq), "--quiet"]) == 0
-        assert (out / "trajectory_run_000.csv").read_bytes() == (
-            out_seq / "trajectory_run_000.csv"
-        ).read_bytes()
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        files = sorted(p.name for p in out_a.glob("trajectory_run_*.csv"))
+        assert files == ["trajectory_run_000.csv", "trajectory_run_001.csv"]
+        samples = read_csv_body(out_a / "flower_samples.csv")[3:]
+        for i, name in enumerate(files):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+            lines = read_csv_body(out_a / name)
+            assert lines[2] == "step,t,stage,dim_0,dim_1"
+            body = lines[3:]
+            assert len(body) == 25 * 4
+            assert [row.split(",")[2] for row in body[:4]] == ["xt", "xhat1", "mu", "xtilde1"]
+            last = body[-1].split(",")
+            assert last[:3] == ["24", "0.95999999999999996", "xtilde1"]
+            # with n_avg = 1 the last refinement of trajectory i is sample i
+            assert last[3:] == samples[i].split(",")[1:]
 
     def test_numerical_failure_leaves_no_partial_outputs(
         self, mini_config, tmp_path, monkeypatch
@@ -191,6 +170,24 @@ class TestSolve:
         monkeypatch.setattr(cli, "run_batch", boom)
         out = tmp_path / "failed"
         assert main(["solve", "--config", str(mini_config), "--out", str(out), "--quiet"]) == 3
+        leftovers = list(out.iterdir()) if out.exists() else []
+        assert leftovers == []
+
+    def test_non_finite_field_exits_3_naming_step_and_stage(
+        self, mini_config, tmp_path, monkeypatch, capsys
+    ):
+        class NanAtStep3:
+            def __init__(self, prior):
+                self.dim = prior.dim
+
+            def eval(self, x, t):
+                return np.full_like(x, np.nan if t == 3 / 25 else 0.0)
+
+        monkeypatch.setattr(cli, "AnalyticGmmField", NanAtStep3)
+        out = tmp_path / "nan"
+        assert main(["solve", "--config", str(mini_config), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "step 3" in err and "field" in err
         leftovers = list(out.iterdir()) if out.exists() else []
         assert leftovers == []
 

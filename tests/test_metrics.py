@@ -7,7 +7,7 @@ import pytest
 
 from flower_lab.gmm import GaussianMixture
 from flower_lab.metrics import (
-    SampleSet,
+    covariance_logdet,
     empirical_moments,
     exact_w2,
     metric_report,
@@ -176,15 +176,28 @@ class TestExactW2:
             exact_w2(np.zeros((3000, 2)), np.zeros((3000, 2)))
 
 
-class TestSampleSet:
-    def test_requires_samples(self):
-        with pytest.raises(ValueError):
-            SampleSet(np.zeros((0, 2)))
+class TestCovarianceLogdet:
+    def test_orders_covariances_whose_determinants_underflow(self):
+        """N(0, 0.01 I) against N(0, 0.02 I) in 200-D: det is 0 for both."""
+        rng = np.random.default_rng(12)
+        narrow = 0.1 * rng.standard_normal((1000, 200))
+        wide = np.sqrt(0.02) * rng.standard_normal((1000, 200))
+        assert np.linalg.det(empirical_moments(narrow)[1]) == 0.0
+        assert np.linalg.det(empirical_moments(wide)[1]) == 0.0
+        lo, hi = covariance_logdet(narrow), covariance_logdet(wide)
+        assert lo < hi
+        # log det of the sample covariance is within a few percent of 200 log(var)
+        assert lo == pytest.approx(200 * np.log(0.01), rel=0.05)
+        assert hi == pytest.approx(200 * np.log(0.02), rel=0.05)
 
-    def test_wraps_and_exposes_shape(self):
-        s = SampleSet(np.zeros((5, 3)), label="ref")
-        assert (s.n, s.dim, s.label) == (5, 3, "ref")
-        assert sliced_w2(s, s, rng=np.random.default_rng(0)) == 0.0
+    def test_fewer_samples_than_dimensions_is_singular(self):
+        """16 samples in 128-D: slogdet's sign is rounding, not a determinant."""
+        for seed in range(5):
+            x = np.random.default_rng(seed).standard_normal((16, 128))
+            assert covariance_logdet(x) is None
+
+    def test_constant_samples_are_singular(self):
+        assert covariance_logdet(np.ones((10, 3))) is None
 
 
 class TestMetricReport:
