@@ -19,7 +19,6 @@ children of the seed, so they never share a stream with the solver.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import shutil
@@ -138,8 +137,6 @@ def cmd_train(args) -> int:
     if cfg.train is None:
         raise ConfigError(f"{cfg.path}: train requires a [train] section")
     train_cfg = cfg.train
-    if args.seed is not None:
-        train_cfg = dataclasses.replace(train_cfg, seed=int(args.seed))
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _say(args, f"training {train_cfg.steps} steps (batch {train_cfg.batch_size}) ...")
     _, losses = _train_into(cfg, train_cfg, cfg.output_dir)

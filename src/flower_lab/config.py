@@ -129,6 +129,8 @@ def _build_operator(sec: _Section):
 def load_config(path, seed_override: int | None = None, out_override=None) -> ExperimentConfig:
     """Parse and validate an experiment config file.
 
+    ``seed_override`` replaces the solver seed and the [train] seed, if any.
+
     Raises:
         ConfigError: the file is missing or any section is invalid.
     """
@@ -217,6 +219,8 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
             )
         except ValueError as exc:
             raise ConfigError(f"{path}: [train] {exc}") from exc
+    if train is not None and seed_override is not None:
+        train = replace(train, seed=int(seed_override))
     if field_kind == "train" and train is None:
         raise ConfigError(f"{path}: field kind 'train' requires a [train] section")
 

@@ -14,9 +14,9 @@ final progression lands on t = 1 exactly, returning x1_tilde unchanged.
 
 The step functions accept a single state ``(d,)`` or a lockstep batch
 ``(n, d)``.  ``run_batch`` is the one driver: it moves a batch of ``n``
-trajectories in lockstep from one stream, sharing each step's
-factorization, and can record the first rows of every stage.  A non-finite
-state stops it at the step and stage where it appears.
+trajectories in lockstep from one stream, and can record the first rows
+of every stage.  A non-finite state stops it at the step and stage where
+it appears.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .flow import VelocityField
 from .gmm import LinearGaussianObservation
-from .operators import DENSE_SOLVE_CUTOFF, SpdSolveOptions, solve_spd
+from .operators import SpdSolveOptions, solve_spd
 
 __all__ = [
     "FlowerConfig",
@@ -107,22 +106,20 @@ class _ProxSolver:
     """The proximal system (nu_t^-2 I + s^-2 H^T H) z = rhs of one observation.
 
     Builds the right-hand sides of the refinement mean and of the kappa
-    draw, and solves them: dense Cholesky for small systems (one
-    factorization per time, shared across batch rows and across the
-    mean/kappa solves of a step), matrix-free CG otherwise.
+    draw, and solves them as a diagonal scaling in the eigenbasis of H^T H
+    (``gram_eigh``, factored once per operator), at every t and for the
+    whole batch.  An operator without a Gram matrix falls back to
+    matrix-free CG, one batch row at a time.
     """
 
     def __init__(self, obs: LinearGaussianObservation, opts: SpdSolveOptions | None):
         self.obs = obs
         self.opts = opts or SpdSolveOptions()
         self.inv_s2 = 1.0 / (obs.noise_std * obs.noise_std)
-        d = obs.operator.in_dim
-        self.dim = d
-        self.gram_dense = (
-            obs.operator.gram_matrix() if d <= DENSE_SOLVE_CUTOFF else None
-        )
-        self._factor_t = None
-        self._factor = None
+        try:
+            self.basis = obs.operator.gram_eigh
+        except NotImplementedError:
+            self.basis = None
 
     @cached_property
     def _data_rhs(self) -> np.ndarray:
@@ -143,14 +140,9 @@ class _ProxSolver:
 
     def solve(self, rhs: np.ndarray, t: float) -> np.ndarray:
         inv_nu2 = 1.0 / nu(t) ** 2
-        if self.gram_dense is not None:
-            if self._factor_t != t:
-                precision = inv_nu2 * np.eye(self.dim) + self.inv_s2 * self.gram_dense
-                self._factor = cho_factor(precision, lower=True)
-                self._factor_t = t
-            if rhs.ndim == 1:
-                return cho_solve(self._factor, rhs)
-            return cho_solve(self._factor, rhs.T).T
+        if self.basis is not None:
+            lam, u = self.basis
+            return ((rhs @ u) / (inv_nu2 + self.inv_s2 * lam)) @ u.T
 
         def matvec(v):
             return inv_nu2 * v + self.inv_s2 * self.obs.operator.gram_apply(v)
@@ -275,7 +267,7 @@ def run_batch(
 ):
     """n_runs lockstep trajectories from fresh source noise to posterior draws.
 
-    Rows share each step's factorization and draw from one stream (by
+    Rows share the operator's factorization and draw from one stream (by
     default ``default_rng(cfg.seed)``: x0, then per step eps1 and eps2 of
     the kappa draw when gamma = 1 and the progression noise), so the output
     is deterministic given (cfg.seed, n_runs).  The solver assumes

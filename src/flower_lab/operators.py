@@ -6,17 +6,21 @@ by hand, not differentiated, so the pairing ``<Hx, u> == <x, H^T u>`` holds
 to rounding for all variants.  All actions accept a single vector ``(d,)``
 or a row-wise batch ``(n, d)``.
 
+``gram_eigh`` factors H^T H once per operator, so (a I + b H^T H) z = r
+is a diagonal scaling in its basis; ``solve_spd`` (matrix-free conjugate
+gradients) serves operators that cannot materialize H^T H.
+
 Operators are immutable after construction and safe to share across
 threads; every action is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "LinearOperator",
@@ -30,11 +34,6 @@ __all__ = [
     "as_vector",
     "solve_spd",
 ]
-
-# Dense Cholesky beats matrix-free CG up to roughly this many unknowns;
-# also the cutoff below which solve_spd will use a provided dense matrix.
-DENSE_SOLVE_CUTOFF = 64
-
 
 def as_vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
     """Coerce to a finite 1-D float array, optionally checking its length."""
@@ -88,6 +87,19 @@ class LinearOperator:
         """Materialize H^T H as an (in_dim, in_dim) array."""
         a = self.dense_matrix()
         return a.T @ a
+
+    @cached_property
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, U) with H^T H = U diag(lam) U^T, computed once; both read-only.
+
+        lam is clipped at 0 (H^T H is PSD, so negative values are rounding).
+        Raises NotImplementedError when gram_matrix does.
+        """
+        lam, u = np.linalg.eigh(self.gram_matrix())
+        lam = np.maximum(lam, 0.0)
+        lam.flags.writeable = False
+        u.flags.writeable = False
+        return lam, u
 
     # subclass hooks, inputs already validated
     def _apply(self, x):
@@ -274,13 +286,11 @@ def solve_spd(
     matvec: Callable[[np.ndarray], np.ndarray],
     b,
     opts: SpdSolveOptions | None = None,
-    dense_matrix: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A given by ``matvec``.
 
-    Uses conjugate gradients from a zero start; when ``dense_matrix`` is
-    supplied and the system is small (d <= 64) a dense Cholesky solve is
-    used instead.  The returned x satisfies
+    Uses conjugate gradients from a zero start, for systems known only by
+    their action.  The returned x satisfies
     ``||matvec(x) - b|| <= rel_tolerance * ||b||``.
 
     Raises:
@@ -290,9 +300,6 @@ def solve_spd(
     opts = opts or SpdSolveOptions()
     b = as_vector(b, name="b")
     d = b.shape[0]
-    if dense_matrix is not None and d <= DENSE_SOLVE_CUTOFF:
-        return cho_solve(cho_factor(dense_matrix, lower=True), b)
-
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(d)

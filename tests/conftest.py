@@ -10,6 +10,13 @@ TOY_WEIGHTS = np.array([1.0, 1.0, 1.0]) / 3.0
 TOY_MEANS = np.array([[-0.25, -0.25], [-0.25, 0.25], [0.25, -0.25]])
 TOY_COV = 0.25**2
 
+
+def blur_kernel(d, width=2.0):
+    """A periodic Gaussian blur kernel of unit sum, as in the bundled blur configs."""
+    j = np.minimum(np.arange(d), d - np.arange(d))
+    k = np.exp(-0.5 * (j / width) ** 2)
+    return k / k.sum()
+
 # The first toy problem as an experiment config, scaled down for the CLI.
 MINI_TOY = """\
 [prior]

@@ -5,6 +5,7 @@ import configparser
 import numpy as np
 import pytest
 
+from flower_lab import flower
 from flower_lab.cli import main
 from flower_lab.flow import AnalyticGmmField
 from flower_lab.flower import (
@@ -19,6 +20,7 @@ from flower_lab.flower import (
     time_progress,
 )
 from flower_lab.gmm import (
+    GaussianMixture,
     LinearGaussianObservation,
     conditional_mean_x1,
     posterior_linear_gaussian,
@@ -26,21 +28,60 @@ from flower_lab.gmm import (
 from flower_lab.operators import (
     Circulant1DOperator,
     DenseOperator,
+    LinearOperator,
     MaskOperator,
     RowVectorOperator,
     ScaledIdentityOperator,
+    SpdSolveOptions,
+    solve_spd,
 )
 
-from conftest import MINI_TOY
+from conftest import MINI_TOY, blur_kernel
 from oracles import covariance_standard_errors, mean_standard_errors
+
+
+def dense_precision(op, noise_std, t):
+    """Oracle: nu_t^-2 I + s^-2 H^T H from the dense matrix."""
+    h = op.dense_matrix()
+    return np.eye(op.in_dim) / nu(t) ** 2 + (h.T @ h) / noise_std**2
 
 
 def dense_sigma_t(op, noise_std, t):
     """Oracle: Sigma_t as an explicit inverse of the dense precision."""
-    d = op.in_dim
-    h = op.dense_matrix()
-    precision = np.eye(d) / nu(t) ** 2 + (h.T @ h) / noise_std**2
-    return np.linalg.inv(precision)
+    return np.linalg.inv(dense_precision(op, noise_std, t))
+
+
+def high_dimensional_operators(d):
+    """A circulant blur (near-singular H^T H) and a dense operator of rank d / 2."""
+    rng = np.random.default_rng(d)
+    return [
+        Circulant1DOperator(blur_kernel(d)),
+        DenseOperator(rng.standard_normal((d // 2, d)) / np.sqrt(d)),
+    ]
+
+
+class MatrixFreeOperator(LinearOperator):
+    """A matrix known only by its actions: no dense_matrix, hence no gram_matrix."""
+
+    def __init__(self, matrix):
+        self._matrix = np.asarray(matrix, dtype=float)
+        self.out_dim, self.in_dim = self._matrix.shape
+
+    def _apply(self, x):
+        return x @ self._matrix.T
+
+    def _apply_adjoint(self, u):
+        return u @ self._matrix
+
+
+class GramCountingOperator(DenseOperator):
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.gram_calls = 0
+
+    def gram_matrix(self):
+        self.gram_calls += 1
+        return super().gram_matrix()
 
 
 class TestNu:
@@ -148,8 +189,8 @@ class TestRefineMean:
         with pytest.raises(ValueError):
             refine_mean(np.zeros(2), obs, 1.0)
 
-    def test_large_dimension_takes_cg_path(self):
-        """Beyond the dense cutoff the solve goes matrix-free; same answer."""
+    def test_large_dimension_matches_dense_oracle(self):
+        """At d = 80, single and batched solves and kappa draws go through the eigenbasis."""
         rng = np.random.default_rng(53)
         d = 80
         op = MaskOperator(range(0, d, 2), d)
@@ -162,7 +203,7 @@ class TestRefineMean:
         rhs = xhat / nu(t) ** 2 + h.T @ y / 0.3**2
         oracle = np.linalg.solve(precision, rhs)
         np.testing.assert_allclose(refine_mean(xhat, obs, t), oracle, rtol=1e-8)
-        # batched rhs goes through the same row-wise CG loop
+        # a batched rhs is the same scaling in the same basis
         batch = refine_mean(np.tile(xhat, (3, 1)), obs, t)
         np.testing.assert_allclose(batch, np.tile(oracle, (3, 1)), rtol=1e-8)
         kappa = sample_kappa(obs, t, np.random.default_rng(1), size=2)
@@ -194,6 +235,100 @@ class TestSampleKappa:
         c = sample_kappa(toy1_obs, 0.4, np.random.default_rng(18))
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
+
+
+class TestProxHighDimension:
+    """The prox past d = 64, against dense oracles and the CG fallback."""
+
+    @pytest.mark.parametrize("d", [65, 128])
+    def test_refine_mean_matches_dense_solve(self, d):
+        rng = np.random.default_rng(1000 + d)
+        s = 0.05
+        for op in high_dimensional_operators(d):
+            obs = LinearGaussianObservation(op, s, rng.standard_normal(op.out_dim))
+            xhat = rng.standard_normal((3, d))
+            data = op.dense_matrix().T @ obs.observation / s**2
+            for t in (0.0, 0.5, 0.9):
+                rhs = xhat / nu(t) ** 2 + data
+                oracle = np.linalg.solve(dense_precision(op, s, t), rhs.T).T
+                np.testing.assert_allclose(refine_mean(xhat[0], obs, t), oracle[0], rtol=1e-8)
+                np.testing.assert_allclose(refine_mean(xhat, obs, t), oracle, rtol=1e-8)
+
+    @pytest.mark.parametrize("d", [65, 128])
+    def test_kappa_covariance_matches_inverse_precision(self, d):
+        """The sample covariance of kappa is inv(precision), entry by entry once whitened.
+
+        With precision = L L^T, the whitened draws kappa L have covariance I
+        exactly when kappa's is inv(precision), and whitening weighs the
+        data-dominated directions (small variance) like the rest.  kappa has
+        mean 0, so entry (i, j) of the whitened W^T W / n has standard error
+        sqrt((1 + [i == j]) / n); every entry must lie within 5.5 of them:
+        by the union bound over the d(d+1)/2 entries, a correct sampler fails
+        with probability below 3.2e-4 (d = 128).
+        """
+        n, t, s = 20_000, 0.5, 0.05
+        for op in high_dimensional_operators(d):
+            obs = LinearGaussianObservation(op, s, np.zeros(op.out_dim))
+            draws = sample_kappa(obs, t, np.random.default_rng(2000 + d), size=n)
+            white = draws @ np.linalg.cholesky(dense_precision(op, s, t))
+            se = np.sqrt((1.0 + np.eye(d)) / n)
+            z = np.abs(white.T @ white / n - np.eye(d)) / se
+            assert np.max(z) <= 5.5, type(op).__name__
+
+    def test_matrix_free_operator_falls_back_to_cg(self, monkeypatch):
+        """No gram_matrix: every solve is a CG solve, equal to the eigenbasis path to 1e-8."""
+        rng = np.random.default_rng(3)
+        d, m, s = 65, 40, 0.3
+        a = rng.standard_normal((m, d)) / np.sqrt(d)
+        y = rng.standard_normal(m)
+        free = LinearGaussianObservation(MatrixFreeOperator(a), s, y)
+        dense = LinearGaussianObservation(DenseOperator(a), s, y)
+        with pytest.raises(NotImplementedError):
+            free.operator.gram_eigh
+        cg_solves = []
+
+        def counting_solve_spd(matvec, b, opts=None):
+            cg_solves.append(b.shape)
+            return solve_spd(matvec, b, opts)
+
+        monkeypatch.setattr(flower, "solve_spd", counting_solve_spd)
+        tight = SpdSolveOptions(rel_tolerance=1e-12)
+        xhat = rng.standard_normal((3, d))
+        for t in (0.0, 0.5, 0.9):
+            for x in (xhat[0], xhat):
+                np.testing.assert_allclose(
+                    refine_mean(x, free, t, tight), refine_mean(x, dense, t), rtol=1e-8
+                )
+            np.testing.assert_allclose(
+                sample_kappa(free, t, np.random.default_rng(5), size=3, solver=tight),
+                sample_kappa(dense, t, np.random.default_rng(5), size=3),
+                rtol=1e-8,
+            )
+        # per t: one single-row mean, three batched mean rows, three kappa rows
+        assert len(cg_solves) == 3 * 7
+
+    def test_factors_once_per_operator(self):
+        rng = np.random.default_rng(9)
+        op = GramCountingOperator(rng.standard_normal((20, 65)))
+        obs = LinearGaussianObservation(op, 0.1, rng.standard_normal(20))
+        for k in range(10):
+            refine_mean(rng.standard_normal(65), obs, k / 10)
+            sample_kappa(obs, k / 10, rng, size=2)
+        assert op.gram_calls == 1
+
+    def test_run_batch_never_runs_cg_on_a_circulant(self, monkeypatch):
+        def no_cg(*args, **kwargs):
+            raise AssertionError("solve_spd called")
+
+        monkeypatch.setattr(flower, "solve_spd", no_cg)
+        d = 128
+        rng = np.random.default_rng(11)
+        prior = GaussianMixture([0.5, 0.5], 0.5 * rng.standard_normal((2, d)), 0.15**2)
+        op = Circulant1DOperator(blur_kernel(d))
+        obs = LinearGaussianObservation(op, 0.05, op.apply(prior.sample(rng, 1)[0]))
+        cfg = FlowerConfig(n_steps=20, gamma=1, noise_std=0.05, seed=2)
+        x1 = run_batch(AnalyticGmmField(prior), obs, cfg, 8)
+        assert x1.shape == (8, d) and np.all(np.isfinite(x1))
 
 
 class TestRefine:

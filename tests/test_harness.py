@@ -269,6 +269,22 @@ class TestTrain:
         assert main(["solve", "--config", str(path), "--out", str(solve_out), "--quiet"]) == 0
         assert (solve_out / "flower_samples.csv").exists()
 
+    def test_solve_seed_reseeds_in_process_trainer(self, tmp_path):
+        """With kind = train, solve --seed N trains exactly what train --seed N does."""
+        path = tmp_path / "train_field.cfg"
+        path.write_text(MINI_TOY.replace("kind = analytic", "kind = train"))
+
+        def checkpoint(verb, seed):
+            out = tmp_path / f"{verb}-{seed}"
+            args = [verb, "--config", str(path), "--out", str(out), "--seed", str(seed), "--quiet"]
+            assert main(args) == 0
+            return (out / "checkpoint.flw").read_bytes()
+
+        solved = {seed: checkpoint("solve", seed) for seed in (1, 2)}
+        assert solved[1] != solved[2]
+        for seed in (1, 2):
+            assert solved[seed] == checkpoint("train", seed)
+
     def test_train_requires_train_section(self, tmp_path):
         head, rest = MINI_TOY.split("[train]", 1)
         tail = rest.split("[solver]", 1)[1]
