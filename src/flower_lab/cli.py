@@ -126,8 +126,16 @@ def _load_field(cfg: ExperimentConfig, workdir: Path):
     if cfg.field_kind == "analytic":
         return AnalyticGmmField(cfg.prior)
     if cfg.field_kind == "mlp":
-        mlp, _ = load_checkpoint(cfg.checkpoint)
-        return MlpField(mlp)
+        try:
+            field = MlpField(load_checkpoint(cfg.checkpoint)[0])
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"{cfg.path}: [field] unusable checkpoint: {exc}") from exc
+        if field.dim != cfg.prior.dim:
+            raise ConfigError(
+                f"{cfg.path}: [field] checkpoint holds a field on R^{field.dim}, "
+                f"but the prior lives on R^{cfg.prior.dim}"
+            )
+        return field
     # field_kind == "train": train in-process, persist next to the samples
     return _train_into(cfg, cfg.train, workdir)[0]
 

@@ -236,8 +236,9 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
     except ValueError as exc:
         raise ConfigError(f"{path}: [solver] {exc}") from exc
     n_samples = solver_sec.integer("n_samples", default=1000)
-    if n_samples < 1:
-        raise ConfigError(f"{path}: [solver] n_samples must be >= 1")
+    if n_samples < 2:
+        # the reported moments need a sample covariance
+        raise ConfigError(f"{path}: [solver] n_samples must be >= 2")
     if solver_sec.flag("record_trajectory", default=False):
         # the recorded trajectories are the first rows of the sampled batch
         n_trajectories = solver_sec.integer("n_trajectories", default=8)

@@ -81,25 +81,18 @@ class MlpField(VelocityField):
         return out[0] if single else out
 
 
-def euler_sample(field: VelocityField, x0, n_steps: int, record_trajectory=False):
+def euler_sample(field: VelocityField, x0, n_steps: int):
     """Integrate dx/dt = v(x, t) from t=0 to t=1 with fixed-step Euler.
 
-    Accepts a single start point ``(d,)`` or a batch ``(n, d)``.  With
-    ``record_trajectory`` the return value is ``(x1, states)`` where states
-    has n_steps + 1 entries including the start.
+    Accepts a single start point ``(d,)`` or a batch ``(n, d)``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x = np.array(x0, dtype=float)
-    states = [x.copy()] if record_trajectory else None
     for k in range(n_steps):
         t = k / n_steps
         dt = (k + 1) / n_steps - t
         x += dt * field.eval(x, t)
-        if record_trajectory:
-            states.append(x.copy())
-    if record_trajectory:
-        return x, np.stack(states)
     return x
 
 

@@ -12,17 +12,20 @@ One iteration at time t = k/N:
 The schedule runs k = 0..N-1, so the refinement never sees t = 1 and the
 final progression lands on t = 1 exactly, returning x1_tilde unchanged.
 
+Both halves of step 2 solve that system one way: a diagonal scaling in the
+eigenbasis of H^T H, factored once per operator, or matrix-free CG for an
+operator without a Gram matrix.
+
 The step functions accept a single state ``(d,)`` or a lockstep batch
-``(n, d)``.  ``run_batch`` is the one driver: it moves a batch of ``n``
-trajectories in lockstep from one stream, and can record the first rows
-of every stage.  A non-finite state stops it at the step and stage where
-it appears.
+``(n, d)``.  ``run_batch`` is the one driver: it runs those step functions
+on a batch of ``n`` trajectories in lockstep from one stream, and can
+record the first rows of every stage.  A non-finite state stops it at the
+step and stage where it appears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -102,54 +105,30 @@ class FlowerRunError(RuntimeError):
         self.step = step
 
 
-class _ProxSolver:
-    """The proximal system (nu_t^-2 I + s^-2 H^T H) z = rhs of one observation.
+# the CG fallback's tolerance, tight enough to match the eigenbasis path to 1e-8
+_CG_OPTIONS = SpdSolveOptions(rel_tolerance=1e-12)
 
-    Builds the right-hand sides of the refinement mean and of the kappa
-    draw, and solves them as a diagonal scaling in the eigenbasis of H^T H
-    (``gram_eigh``, factored once per operator), at every t and for the
-    whole batch.  An operator without a Gram matrix falls back to
-    matrix-free CG, one batch row at a time.
+
+def _prox_solve(obs: LinearGaussianObservation, rhs: np.ndarray, t: float) -> np.ndarray:
+    """Solve (nu_t^-2 I + s^-2 H^T H) z = rhs for a 1-D or (n, d) right-hand side.
+
+    A diagonal scaling in the eigenbasis of H^T H (``gram_eigh``, factored
+    once per operator) at every t and for the whole batch; an operator
+    without a Gram matrix falls back to matrix-free CG, one row at a time.
     """
-
-    def __init__(self, obs: LinearGaussianObservation, opts: SpdSolveOptions | None):
-        self.obs = obs
-        self.opts = opts or SpdSolveOptions()
-        self.inv_s2 = 1.0 / (obs.noise_std * obs.noise_std)
-        try:
-            self.basis = obs.operator.gram_eigh
-        except NotImplementedError:
-            self.basis = None
-
-    @cached_property
-    def _data_rhs(self) -> np.ndarray:
-        """s^-2 H^T y, the data part of the mean's right-hand side."""
-        obs = self.obs
-        return obs.operator.apply_adjoint(obs.observation) / (obs.noise_std**2)
-
-    def mean(self, x1_hat: np.ndarray, t: float) -> np.ndarray:
-        return self.solve(x1_hat / nu(t) ** 2 + self._data_rhs, t)
-
-    def kappa(self, t: float, rng: np.random.Generator, size: int | None) -> np.ndarray:
-        """Sigma_t (nu_t^-1 eps1 + s^-1 H^T eps2), drawing eps1 then eps2."""
-        op = self.obs.operator
-        eps1 = rng.standard_normal((op.in_dim,) if size is None else (size, op.in_dim))
-        eps2 = rng.standard_normal((op.out_dim,) if size is None else (size, op.out_dim))
-        rhs = eps1 / nu(t) + op.apply_adjoint(eps2) / self.obs.noise_std
-        return self.solve(rhs, t)
-
-    def solve(self, rhs: np.ndarray, t: float) -> np.ndarray:
-        inv_nu2 = 1.0 / nu(t) ** 2
-        if self.basis is not None:
-            lam, u = self.basis
-            return ((rhs @ u) / (inv_nu2 + self.inv_s2 * lam)) @ u.T
+    inv_nu2 = 1.0 / nu(t) ** 2
+    inv_s2 = 1.0 / (obs.noise_std * obs.noise_std)
+    try:
+        lam, u = obs.operator.gram_eigh
+    except NotImplementedError:
 
         def matvec(v):
-            return inv_nu2 * v + self.inv_s2 * self.obs.operator.gram_apply(v)
+            return inv_nu2 * v + inv_s2 * obs.operator.gram_apply(v)
 
         if rhs.ndim == 1:
-            return solve_spd(matvec, rhs, self.opts)
-        return np.stack([solve_spd(matvec, row, self.opts) for row in rhs])
+            return solve_spd(matvec, rhs, _CG_OPTIONS)
+        return np.stack([solve_spd(matvec, row, _CG_OPTIONS) for row in rhs])
+    return ((rhs @ u) / (inv_nu2 + inv_s2 * lam)) @ u.T
 
 
 def destination_estimate(field: VelocityField, x_t, t: float) -> np.ndarray:
@@ -160,16 +139,15 @@ def destination_estimate(field: VelocityField, x_t, t: float) -> np.ndarray:
     return x_t + (1.0 - t) * field.eval(x_t, t)
 
 
-def refine_mean(
-    x1_hat,
-    obs: LinearGaussianObservation,
-    t: float,
-    solver: SpdSolveOptions | None = None,
-) -> np.ndarray:
-    """Step 2 mean: the proximal point balancing x1_hat against the data."""
+def refine_mean(x1_hat, obs: LinearGaussianObservation, t: float) -> np.ndarray:
+    """Step 2 mean: the proximal point balancing x1_hat against the data.
+
+    Solves the prox system with right-hand side nu_t^-2 x1_hat + s^-2 H^T y.
+    """
     if t >= 1.0:
         raise ValueError("refinement requires t < 1 (nu_t > 0)")
-    return _ProxSolver(obs, solver).mean(np.asarray(x1_hat, dtype=float), t)
+    data = obs.operator.apply_adjoint(obs.observation) / (obs.noise_std**2)
+    return _prox_solve(obs, np.asarray(x1_hat, dtype=float) / nu(t) ** 2 + data, t)
 
 
 def sample_kappa(
@@ -177,17 +155,20 @@ def sample_kappa(
     t: float,
     rng: np.random.Generator,
     size: int | None = None,
-    solver: SpdSolveOptions | None = None,
 ) -> np.ndarray:
     """Draw kappa_t ~ N(0, Sigma_t) by the two-noise construction.
 
     Draws eps1 on the signal side and eps2 on the measurement side (in that
-    order), then applies Sigma_t to nu_t^-1 eps1 + s^-1 H^T eps2 via the
-    SPD solve on the precision.
+    order), then applies Sigma_t to nu_t^-1 eps1 + s^-1 H^T eps2 by the
+    prox solve.
     """
     if t >= 1.0:
         raise ValueError("kappa is defined for t < 1 (nu_t > 0)")
-    return _ProxSolver(obs, solver).kappa(t, rng, size)
+    op = obs.operator
+    shape = () if size is None else (size,)
+    eps1 = rng.standard_normal(shape + (op.in_dim,))
+    eps2 = rng.standard_normal(shape + (op.out_dim,))
+    return _prox_solve(obs, eps1 / nu(t) + op.apply_adjoint(eps2) / obs.noise_std, t)
 
 
 def refine(
@@ -196,18 +177,17 @@ def refine(
     t: float,
     gamma: int,
     rng: np.random.Generator,
-    solver: SpdSolveOptions | None = None,
 ) -> np.ndarray:
     """Step 2: refinement mean plus, for gamma = 1, a covariance draw.
 
     With gamma = 0 no random numbers are consumed, so the gamma = 1 output
     differs from the gamma = 0 output by exactly one kappa draw.
     """
-    mean = refine_mean(x1_hat, obs, t, solver)
+    mean = refine_mean(x1_hat, obs, t)
     if gamma == 0:
         return mean
     size = None if mean.ndim == 1 else mean.shape[0]
-    return mean + sample_kappa(obs, t, rng, size=size, solver=solver)
+    return mean + sample_kappa(obs, t, rng, size=size)
 
 
 def time_progress(x1_tilde, t: float, dt: float, rng: np.random.Generator) -> np.ndarray:
@@ -234,15 +214,14 @@ def _iterate(field, obs, cfg, rng, x):
     """The lockstep iteration of a batch x of shape (n, d)."""
     n_steps, n_rec = cfg.n_steps, cfg.n_trajectories
     snapshots = []
-    solver = _ProxSolver(obs, None)
     for k in range(n_steps):
         t = k / n_steps
         dt = (k + 1) / n_steps - t
         try:
             x1_hat = destination_estimate(field, x, t)
             _require_finite(k, x1_hat, "field (x1_hat)")
-            mu = solver.mean(x1_hat, t)
-            x1_tilde = mu + solver.kappa(t, rng, mu.shape[0]) if cfg.gamma == 1 else mu
+            mu = refine_mean(x1_hat, obs, t)
+            x1_tilde = mu + sample_kappa(obs, t, rng, mu.shape[0]) if cfg.gamma == 1 else mu
             _require_finite(k, x1_tilde, "prox (x1_tilde)")
             if n_rec:
                 # copies, so a record does not keep every step's (n, d) arrays alive

@@ -1,14 +1,15 @@
 """Linear forward operators with exact adjoints and SPD solves.
 
-Every operator maps R^d -> R^M and exposes three actions: ``apply`` (Hx),
-``apply_adjoint`` (H^T u) and ``gram_apply`` (H^T H x).  Adjoints are coded
-by hand, not differentiated, so the pairing ``<Hx, u> == <x, H^T u>`` holds
-to rounding for all variants.  All actions accept a single vector ``(d,)``
-or a row-wise batch ``(n, d)``.
+Every operator maps R^d -> R^M and codes ``apply`` (Hx) and ``apply_adjoint``
+(H^T u) by hand, so ``<Hx, u> == <x, H^T u>`` holds to rounding for all
+variants; ``gram_apply`` (H^T H x) composes the two.  All actions accept a
+single vector ``(d,)`` or a row-wise batch ``(n, d)``.
 
-``gram_eigh`` factors H^T H once per operator, so (a I + b H^T H) z = r
-is a diagonal scaling in its basis; ``solve_spd`` (matrix-free conjugate
-gradients) serves operators that cannot materialize H^T H.
+The proximal system (a I + b H^T H) z = r is solved one way: ``gram_eigh``
+factors ``gram_matrix`` (H^T H, from ``dense_matrix`` by default) once per
+operator, so every such system is a diagonal scaling in its basis.  An
+operator that cannot materialize H^T H falls back to ``solve_spd``,
+matrix-free conjugate gradients on ``gram_apply``.
 
 Operators are immutable after construction and safe to share across
 threads; every action is a pure function of its inputs.
@@ -75,9 +76,9 @@ class LinearOperator:
         return self._apply_adjoint(u)
 
     def gram_apply(self, x) -> np.ndarray:
-        """Return H^T H x, exploiting operator structure where possible."""
+        """Return H^T H x as the adjoint of the forward action."""
         x = _check_last_dim(x, self.in_dim, "x")
-        return self._gram_apply(x)
+        return self._apply_adjoint(self._apply(x))
 
     def dense_matrix(self) -> np.ndarray:
         """Materialize H as an (out_dim, in_dim) array."""
@@ -107,9 +108,6 @@ class LinearOperator:
 
     def _apply_adjoint(self, u):
         raise NotImplementedError
-
-    def _gram_apply(self, x):
-        return self._apply_adjoint(self._apply(x))
 
 
 class DenseOperator(LinearOperator):
@@ -151,16 +149,8 @@ class RowVectorOperator(LinearOperator):
     def _apply_adjoint(self, u):
         return u[..., 0, None] * self.h
 
-    def _gram_apply(self, x):
-        # h (h^T x) without forming the rank-one matrix
-        y = x @ self.h
-        return np.multiply.outer(y, self.h) if np.ndim(y) else y * self.h
-
     def dense_matrix(self):
         return self.h[None, :].copy()
-
-    def gram_matrix(self):
-        return np.outer(self.h, self.h)
 
 
 class MaskOperator(LinearOperator):
@@ -179,10 +169,6 @@ class MaskOperator(LinearOperator):
         self.kept.flags.writeable = False
         self.in_dim = int(dim)
         self.out_dim = int(kept_arr.size)
-        indicator = np.zeros(dim)
-        indicator[kept_arr] = 1.0
-        indicator.flags.writeable = False
-        self._indicator = indicator
 
     def _apply(self, x):
         return x[..., self.kept]
@@ -192,24 +178,17 @@ class MaskOperator(LinearOperator):
         out[..., self.kept] = u
         return out
 
-    def _gram_apply(self, x):
-        return x * self._indicator
-
     def dense_matrix(self):
         m = np.zeros((self.out_dim, self.in_dim))
         m[np.arange(self.out_dim), self.kept] = 1.0
         return m
 
-    def gram_matrix(self):
-        return np.diag(self._indicator)
-
 
 class Circulant1DOperator(LinearOperator):
     """Circular convolution with a fixed kernel (periodic boundary).
 
-    Row i of the dense matrix is the kernel cyclically shifted by i, so
-    apply/adjoint/gram all diagonalize in Fourier space; the spectral form
-    of the Gram action is |FFT(kernel)|^2 applied coordinate-wise.
+    Column j of the dense matrix is the kernel cyclically shifted by j, so
+    apply and its adjoint are coordinate-wise products in Fourier space.
     """
 
     def __init__(self, kernel):
@@ -224,10 +203,6 @@ class Circulant1DOperator(LinearOperator):
 
     def _apply_adjoint(self, u):
         return np.fft.irfft(np.fft.rfft(u) * self._spectrum.conj(), n=self.in_dim)
-
-    def _gram_apply(self, x):
-        power = self._spectrum.real**2 + self._spectrum.imag**2
-        return np.fft.irfft(np.fft.rfft(x) * power, n=self.in_dim)
 
     def dense_matrix(self):
         d = self.in_dim
@@ -248,9 +223,6 @@ class ScaledIdentityOperator(LinearOperator):
 
     def _apply_adjoint(self, u):
         return self.scale * u
-
-    def _gram_apply(self, x):
-        return (self.scale * self.scale) * x
 
     def dense_matrix(self):
         return self.scale * np.eye(self.in_dim)
@@ -274,7 +246,7 @@ class SpdSolveOptions:
 
 
 class SpdSolveError(RuntimeError):
-    """CG failed to reach the requested residual within the iteration cap."""
+    """CG failed: the residual missed its target, or the matvec is not SPD."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -294,8 +266,9 @@ def solve_spd(
     ``||matvec(x) - b|| <= rel_tolerance * ||b||``.
 
     Raises:
-        SpdSolveError: CG did not converge within ``max_iterations``
-            (the error carries the final residual norm).
+        SpdSolveError: CG did not converge within ``max_iterations``, or a
+            curvature p.Ap was not a positive finite number (the error
+            carries the residual norm at that point).
     """
     opts = opts or SpdSolveOptions()
     b = as_vector(b, name="b")
@@ -314,7 +287,15 @@ def solve_spd(
         if np.sqrt(rs) <= tol:
             break
         ap = matvec(p)
-        alpha = rs / float(p @ ap)
+        curvature = float(p @ ap)
+        if not 0.0 < curvature < np.inf:
+            raise SpdSolveError(
+                f"CG met curvature p.Ap = {curvature:.3e} at iteration {it}; "
+                "the matvec is not symmetric positive definite",
+                residual=float(np.sqrt(rs)),
+                iterations=it,
+            )
+        alpha = rs / curvature
         x += alpha * p
         if it % 50 == 0:
             # refresh the true residual; the recurrence drifts over long runs
@@ -327,7 +308,7 @@ def solve_spd(
         rs = rs_new
     # recompute the true residual: the recurrence drifts over many iterations
     residual = float(np.linalg.norm(matvec(x) - b))
-    if residual > tol:
+    if not residual <= tol:
         raise SpdSolveError(
             f"CG stalled at residual {residual:.3e} (target {tol:.3e}) "
             f"after {max_iter} iterations",

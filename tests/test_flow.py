@@ -67,13 +67,6 @@ class TestEulerSample:
             x1 = euler_sample(ConstantField(c), np.zeros(2), n_steps=n)
             np.testing.assert_allclose(x1, c, rtol=1e-12)
 
-    def test_trajectory_shape(self):
-        x1, states = euler_sample(
-            ConstantField(np.ones(2)), np.zeros(2), 5, record_trajectory=True
-        )
-        assert states.shape == (6, 2)
-        np.testing.assert_allclose(states[-1], x1)
-
     def test_single_gaussian_endpoint_matches_closed_form(self):
         """For the standard-normal target the flow is x(t) = x0 sqrt(t^2+(1-t)^2)."""
         prior = GaussianMixture([1.0], [[0.0, 0.0]], 1.0)

@@ -9,7 +9,7 @@ import pytest
 from flower_lab import cli, flower
 from flower_lab.cli import fmt_float, main
 from flower_lab.config import ConfigError, load_config
-from flower_lab.mlp import load_checkpoint
+from flower_lab.mlp import Mlp, load_checkpoint, save_checkpoint
 
 from conftest import MINI_TOY
 
@@ -82,6 +82,20 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="n_trajectories"):
             load_config(path)
         assert main(["solve", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("n_samples, runs", [(1, False), (2, True)])
+    def test_n_samples_needs_a_sample_covariance(self, tmp_path, n_samples, runs):
+        """The reported moments need two samples: one is a config error, not a traceback."""
+        path = tmp_path / "few.cfg"
+        path.write_text(MINI_TOY.replace("n_samples = 40", f"n_samples = {n_samples}"))
+        out = tmp_path / "out"
+        code = main(["solve", "--config", str(path), "--out", str(out), "--quiet"])
+        if runs:
+            assert code == 0
+            assert len(read_csv_body(out / "flower_samples.csv")) == 3 + n_samples
+            return
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_checkpoint_must_exist_for_mlp_field(self, tmp_path):
         text = MINI_TOY.replace(
@@ -284,6 +298,22 @@ class TestTrain:
         assert solved[1] != solved[2]
         for seed in (1, 2):
             assert solved[seed] == checkpoint("train", seed)
+
+    @pytest.mark.parametrize("defect", ["corrupt", "wrong_dimension"])
+    def test_unusable_checkpoint_is_config_error(self, tmp_path, capsys, defect):
+        """A checkpoint that cannot drive the prior's field exits 2 before sampling."""
+        ckpt = tmp_path / "checkpoint.flw"
+        if defect == "corrupt":
+            ckpt.write_bytes(b"this is not a checkpoint")
+        else:
+            # a field on R^3 (4 -> 3) against the mini toy's 2-D prior
+            save_checkpoint(Mlp.initialize([4, 8, 3], np.random.default_rng(0)), ckpt)
+        path = tmp_path / "mlp.cfg"
+        path.write_text(MINI_TOY.replace("kind = analytic", f"kind = mlp\ncheckpoint = {ckpt}"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_train_requires_train_section(self, tmp_path):
         head, rest = MINI_TOY.split("[train]", 1)

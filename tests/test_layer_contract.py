@@ -3,7 +3,9 @@
 A tracer times each layer by wrapping an operator's public actions and by
 replacing module-level names the CLI calls.  The wrapper here forwards only
 the five public actions of an operator, as such a tracer does, so a solve
-path that reached past them would show up as a changed sample.
+path that reached past them would show up as a changed sample.  A tracer
+also times the solver's steps by replaying a run through the public step
+functions, so the driver must run those same functions.
 """
 
 from collections import Counter
@@ -14,7 +16,14 @@ import pytest
 
 from flower_lab import cli, flower, mlp
 from flower_lab.flow import AnalyticGmmField
-from flower_lab.flower import FlowerConfig, run_batch
+from flower_lab.flower import (
+    FlowerConfig,
+    destination_estimate,
+    refine_mean,
+    run_batch,
+    sample_kappa,
+    time_progress,
+)
 from flower_lab.gmm import GaussianMixture, LinearGaussianObservation
 from flower_lab.operators import Circulant1DOperator, LinearOperator, MaskOperator
 
@@ -48,18 +57,21 @@ def every_third(d):
     return MaskOperator(range(0, d, 3), d)
 
 
-@pytest.mark.parametrize("make_operator", [circulant, every_third])
-def test_wrapped_operator_gives_byte_identical_samples(make_operator):
-    d = 128
-    rng = np.random.default_rng(17)
+def problem(make_operator, seed, d=128):
+    """A two-mode prior on R^d observed through make_operator(d) at noise 0.05."""
+    rng = np.random.default_rng(seed)
     prior = GaussianMixture([0.5, 0.5], 0.5 * rng.standard_normal((2, d)), 0.15**2)
     op = make_operator(d)
     y = op.apply(prior.sample(rng, 1)[0]) + 0.05 * rng.standard_normal(op.out_dim)
-    obs = LinearGaussianObservation(op, 0.05, y)
-    field = AnalyticGmmField(prior)
+    return AnalyticGmmField(prior), LinearGaussianObservation(op, 0.05, y)
+
+
+@pytest.mark.parametrize("make_operator", [circulant, every_third])
+def test_wrapped_operator_gives_byte_identical_samples(make_operator):
+    field, obs = problem(make_operator, 17)
     cfg = FlowerConfig(n_steps=20, gamma=1, noise_std=0.05, seed=4)
     bare = run_batch(field, obs, cfg, 8)
-    wrapped = ForwardingOperator(op)
+    wrapped = ForwardingOperator(obs.operator)
     traced = run_batch(field, replace(obs, operator=wrapped), cfg, 8)
     assert traced.tobytes() == bare.tobytes()
     # one factorization for the whole run, no Gram action per step
@@ -67,10 +79,51 @@ def test_wrapped_operator_gives_byte_identical_samples(make_operator):
     assert wrapped.calls["gram_apply"] == 0
 
 
+def replay(field, obs, cfg, n_runs):
+    """run_batch's iteration spelled out with the public step functions."""
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.standard_normal((n_runs, obs.operator.in_dim))
+    for k in range(cfg.n_steps):
+        t = k / cfg.n_steps
+        dt = (k + 1) / cfg.n_steps - t
+        x1_hat = destination_estimate(field, x, t)
+        x1_tilde = refine_mean(x1_hat, obs, t)
+        if cfg.gamma == 1:
+            x1_tilde = x1_tilde + sample_kappa(obs, t, rng, size=n_runs)
+        x = time_progress(x1_tilde, t, dt, rng)
+    return x
+
+
+@pytest.mark.parametrize("make_operator, gamma", [(circulant, 1), (every_third, 0)])
+def test_driver_runs_the_public_steps(monkeypatch, make_operator, gamma):
+    """run_batch equals a replay through the public steps bit for bit, by calling them."""
+    field, obs = problem(make_operator, 23)
+    n_runs = 8
+    cfg = FlowerConfig(n_steps=20, gamma=gamma, noise_std=0.05, seed=6)
+    replayed = replay(field, obs, cfg, n_runs)
+    calls = Counter()
+
+    def counted(name, fn):
+        def step(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return step
+
+    for name in ("refine_mean", "sample_kappa"):
+        monkeypatch.setattr(flower, name, counted(name, getattr(flower, name)))
+    assert run_batch(field, obs, cfg, n_runs).tobytes() == replayed.tobytes()
+    assert calls == Counter(refine_mean=cfg.n_steps, sample_kappa=gamma * cfg.n_steps)
+
+
 @pytest.mark.parametrize(
     "owner, name",
     [
         (flower, "solve_spd"),
+        (flower, "destination_estimate"),
+        (flower, "refine_mean"),
+        (flower, "sample_kappa"),
+        (flower, "time_progress"),
         (cli, "run_batch"),
         (cli, "train_cfm"),
         (cli, "load_config"),

@@ -128,7 +128,7 @@ class TestCirculant:
         for d in (3, 8, 17, 32):
             op = Circulant1DOperator(rng.standard_normal(d))
             dense = op.dense_matrix()
-            # the dense matrix really is circulant: row i is kernel rolled by i
+            # the dense matrix really is circulant: column j is kernel rolled by j
             np.testing.assert_allclose(dense[:, 0], op.kernel, rtol=0)
             x = rng.standard_normal(d)
             np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)
@@ -189,6 +189,15 @@ class TestSolveSpd:
         with pytest.raises(SpdSolveError) as err:
             solve_spd(lambda v: spd @ v, b, SpdSolveOptions(max_iterations=2))
         assert err.value.residual > 0
+        # a non-symmetric matrix is outside CG's contract: it must not pass as solved
+        with pytest.raises(SpdSolveError):
+            solve_spd(lambda v: a @ v, b)
+
+    @pytest.mark.parametrize("value", [np.nan, 0.0])
+    def test_broken_matvec_raises(self, value):
+        """A NaN (which compares False with the tolerance) or zero curvature p.Ap is no solve."""
+        with pytest.raises(SpdSolveError, match="curvature"):
+            solve_spd(lambda v: np.full_like(v, value), np.ones(4))
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
