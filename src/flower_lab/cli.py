@@ -161,6 +161,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
     solver = cfg.solver
     obs = cfg.observation
+    created = not cfg.output_dir.exists()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix=".solve-", dir=cfg.output_dir))
     try:
@@ -255,6 +256,8 @@ def cmd_solve(args) -> int:
             os.replace(scratch / name, cfg.output_dir / name)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+        if created and not any(cfg.output_dir.iterdir()):  # empty: the solve failed
+            cfg.output_dir.rmdir()
     _say(args, f"wrote {cfg.output_dir}/flower_samples.csv and metrics.json")
     return EXIT_OK
 

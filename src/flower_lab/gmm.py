@@ -5,18 +5,21 @@ posterior under a linear-Gaussian measurement, the straight-line-path
 marginal at time t, and the conditional expectation E[X1 | Xt = x] whose
 algebra doubles as the exact velocity field.
 
-Everything is computed in log space wherever mixture responsibilities
+The reference functions work in log space wherever mixture responsibilities
 appear: component densities underflow long before the math stops being
 well-conditioned, especially near t = 1 where the path covariance shrinks
-like (1-t)^2.
+like (1-t)^2.  The field works in Sigma's eigenbasis, factored once per
+prior, where that covariance is diagonal and the responsibilities are a
+max-shifted softmax of one (n, d) x (d, K) product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 from scipy.special import logsumexp
 
 from .operators import LinearOperator, as_vector
@@ -41,6 +44,7 @@ class GaussianMixture:
         means: Component means, shape ``(K, d)``.
         covariance: Shared covariance, shape ``(d, d)``; a scalar argument
             is expanded to an isotropic matrix.
+        log_weights: ``log(weights)``, ``-inf`` for a zero weight.
     """
 
     def __init__(self, weights, means, covariance):
@@ -68,8 +72,19 @@ class GaussianMixture:
             raise ValueError("covariance is not positive definite") from exc
         self.covariance = cov
         self._log_det = 2.0 * np.log(np.diag(self._chol)).sum()
-        for arr in (self.weights, self.means, self.covariance):
+        with np.errstate(divide="ignore"):
+            self.log_weights = np.log(self.weights)
+        for arr in (self.weights, self.means, self.covariance, self.log_weights):
             arr.flags.writeable = False
+
+    @cached_property
+    def covariance_eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lam, U, means @ U) with Sigma = U diag(lam) U^T, computed once; read-only."""
+        lam, u = np.linalg.eigh(self.covariance)
+        means_u = self.means @ u
+        for arr in (lam, u, means_u):
+            arr.flags.writeable = False
+        return lam, u, means_u
 
     @property
     def n_components(self) -> int:
@@ -88,9 +103,7 @@ class GaussianMixture:
         sol = _solve_lower(self._chol, diff)
         maha = np.sum(sol * sol, axis=-1)
         log_norm = -0.5 * (self.dim * np.log(2.0 * np.pi) + self._log_det)
-        with np.errstate(divide="ignore"):
-            log_w = np.log(self.weights)
-        return log_w + log_norm - 0.5 * maha
+        return self.log_weights + log_norm - 0.5 * maha
 
     def log_density(self, x):
         """Mixture log-density via log-sum-exp; scalar for (d,), (n,) for (n, d)."""
@@ -164,10 +177,8 @@ def posterior_linear_gaussian(
 
     # marginal likelihood of y under each component
     m = obs.operator.out_dim
-    if m == 0:
-        with np.errstate(divide="ignore"):
-            log_w = np.log(prior.weights)
-    else:
+    log_w = prior.log_weights
+    if m > 0:
         y_cov = h_dense @ prior.covariance @ h_dense.T + (
             obs.noise_std * obs.noise_std
         ) * np.eye(m)
@@ -176,10 +187,7 @@ def posterior_linear_gaussian(
         sol = _solve_lower(y_chol, resid)
         maha = np.sum(sol * sol, axis=-1)
         log_det = 2.0 * np.log(np.diag(y_chol)).sum()
-        with np.errstate(divide="ignore"):
-            log_w = np.log(prior.weights) - 0.5 * (
-                maha + log_det + m * np.log(2.0 * np.pi)
-            )
+        log_w = log_w - 0.5 * (maha + log_det + m * np.log(2.0 * np.pi))
     log_w = log_w - logsumexp(log_w)
     return GaussianMixture(np.exp(log_w), means_post, cov_post)
 
@@ -197,30 +205,6 @@ def marginal_at_time(prior: GaussianMixture, t: float) -> GaussianMixture:
     return GaussianMixture(prior.weights, t * prior.means, cov)
 
 
-def _path_responsibility_terms(prior: GaussianMixture, x: np.ndarray, t: float):
-    """Shared pieces of the conditional mean: responsibilities and slopes.
-
-    Returns (log_resp (..., K), comp_means (..., K, d)) where comp_means[k]
-    is the per-component conditional mean mu_k + t Sigma S^-1 (x - t mu_k)
-    with S = t^2 Sigma + (1-t)^2 I the path covariance.
-    """
-    d = prior.dim
-    path_cov = (t * t) * prior.covariance + ((1.0 - t) ** 2) * np.eye(d)
-    path_chol = cholesky(path_cov, lower=True)
-    # regression slope A = t Sigma S^-1, computed once per (prior, t)
-    slope = t * solve(path_cov, prior.covariance, assume_a="pos").T
-
-    diff = x[..., None, :] - t * prior.means  # (..., K, d)
-    sol = _solve_lower(path_chol, diff)
-    maha = np.sum(sol * sol, axis=-1)
-    # the shared normalizing constant cancels once responsibilities are normalized
-    with np.errstate(divide="ignore"):
-        log_resp = np.log(prior.weights) - 0.5 * maha
-    log_resp = log_resp - logsumexp(log_resp, axis=-1, keepdims=True)
-    comp_means = prior.means + diff @ slope.T
-    return log_resp, comp_means
-
-
 def conditional_mean_x1(prior: GaussianMixture, x, t: float) -> np.ndarray:
     """E[X1 | Xt = x] along the straight-line path with independent coupling.
 
@@ -232,14 +216,19 @@ def conditional_mean_x1(prior: GaussianMixture, x, t: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != prior.dim:
         raise ValueError(f"x has dimension {x.shape[-1]}, expected {prior.dim}")
-    log_resp, comp_means = _path_responsibility_terms(prior, x, t)
-    resp = np.exp(log_resp)
-    return np.sum(resp[..., None] * comp_means, axis=-2)
+    # In Sigma's eigenbasis, z = x U, the path covariance is diag(s), the slope is
+    # diag(t lam / s) (so 1 - t slope = (1-t)^2 / s) and the k-free sum(z^2 / s) drops out.
+    lam, u, means_u = prior.covariance_eigh
+    s = (t * t) * lam + (1.0 - t) ** 2
+    z = x @ u
+    c = means_u * (t / s)
+    logits = prior.log_weights + z @ c.T - (0.5 * t) * np.sum(means_u * c, axis=-1)
+    resp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    resp /= resp.sum(axis=-1, keepdims=True)
+    return ((t * lam / s) * z + resp @ (means_u * ((1.0 - t) ** 2 / s))) @ u.T
 
 
 def analytic_velocity(prior: GaussianMixture, x, t: float) -> np.ndarray:
     """The exact CFM-optimal velocity (E[X1 | Xt = x] - x) / (1 - t)."""
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must be in [0, 1), got {t}")
     x = np.asarray(x, dtype=float)
     return (conditional_mean_x1(prior, x, t) - x) / (1.0 - t)

@@ -6,6 +6,8 @@ solver code so the tests remain a genuine cross-check.
 """
 
 import numpy as np
+from scipy.linalg import cholesky, solve, solve_triangular
+from scipy.special import logsumexp
 
 
 def mixture_density(weights, means, cov, x):
@@ -32,6 +34,31 @@ def mixture_density(weights, means, cov, x):
     diff = x[..., None, :] - means  # (..., K, d)
     maha = np.einsum("...ki,ij,...kj->...k", diff, prec, diff)
     return np.sum(weights * norm * np.exp(-0.5 * maha), axis=-1)
+
+
+def conditional_mean_by_cholesky(weights, means, cov, x, t):
+    """E[X1 | Xt = x] for the straight-line path, by a dense Cholesky.
+
+    Factors the path covariance S = t^2 Sigma + (1-t)^2 I, takes log
+    responsibilities log w_k - |L^-1 (x - t mu_k)|^2 / 2 normalized by
+    log-sum-exp, and averages the component means mu_k + t Sigma S^-1
+    (x - t mu_k).  Valid for 0 <= t < 1; x has shape (..., d).
+    """
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    cov = np.asarray(cov, dtype=float)
+    x = np.asarray(x, dtype=float)
+    d = means.shape[1]
+    path_cov = (t * t) * cov + ((1.0 - t) ** 2) * np.eye(d)
+    path_chol = cholesky(path_cov, lower=True)
+    slope = t * solve(path_cov, cov, assume_a="pos").T
+    diff = x[..., None, :] - t * means  # (..., K, d)
+    flat = diff.reshape(-1, d)
+    sol = solve_triangular(path_chol, flat.T, lower=True).T.reshape(diff.shape)
+    with np.errstate(divide="ignore"):
+        log_resp = np.log(np.asarray(weights, dtype=float)) - 0.5 * np.sum(sol * sol, -1)
+    resp = np.exp(log_resp - logsumexp(log_resp, axis=-1, keepdims=True))
+    comp_means = means + diff @ slope.T
+    return np.sum(resp[..., None] * comp_means, axis=-2)
 
 
 def gauss_legendre_grid_2d(lim=3.0, n_nodes=400):

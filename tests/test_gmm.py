@@ -14,6 +14,7 @@ from flower_lab.gmm import (
 from flower_lab.operators import MaskOperator, RowVectorOperator, ScaledIdentityOperator
 
 from oracles import (
+    conditional_mean_by_cholesky,
     conditional_mean_by_quadrature,
     covariance_standard_errors,
     mean_standard_errors,
@@ -200,6 +201,13 @@ class TestMarginalAtTime:
             marginal_at_time(toy_prior, 1.5)
 
 
+def ill_conditioned_prior(d, rng):
+    """K = 3 with unequal weights and a full covariance of condition number 1e5."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    cov = (q * np.logspace(-5, 0, d)) @ q.T
+    return GaussianMixture([0.6, 0.3, 0.1], rng.standard_normal((3, d)), 0.5 * (cov + cov.T))
+
+
 class TestConditionalMean:
     def test_t0_returns_mixture_mean_everywhere(self, toy_prior):
         rng = np.random.default_rng(31)
@@ -266,6 +274,61 @@ class TestConditionalMean:
     def test_rejects_t_at_one(self, toy_prior):
         with pytest.raises(ValueError):
             conditional_mean_x1(toy_prior, np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("d", [2, 65, 128])
+    def test_matches_cholesky_reference(self, d):
+        """The eigenbasis field against a per-call Cholesky of the path covariance."""
+        rng = np.random.default_rng(d)
+        prior = ill_conditioned_prior(d, rng)
+        for t in (0.0, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9):
+            on_path = (1 - t) * rng.standard_normal((30, d)) + t * prior.sample(rng, 30)
+            # midway between two scaled means the responsibilities follow the weights
+            between = t * (prior.means[[0, 0, 1]] + prior.means[[1, 2, 2]]) / 2
+            x = np.vstack([on_path, between])
+            oracle = conditional_mean_by_cholesky(
+                prior.weights, prior.means, prior.covariance, x, t
+            )
+            np.testing.assert_allclose(
+                conditional_mean_x1(prior, x, t), oracle, rtol=0, atol=1e-9
+            )
+
+
+class TestHighDimensionRobustness:
+    D = 65
+
+    @pytest.fixture
+    def prior(self):
+        return ill_conditioned_prior(self.D, np.random.default_rng(65))
+
+    def test_zero_weight_component_is_ignored(self, prior):
+        with_zero = GaussianMixture([0.7, 0.0, 0.3], prior.means, prior.covariance)
+        without = GaussianMixture([0.7, 0.3], prior.means[[0, 2]], prior.covariance)
+        x = np.random.default_rng(66).standard_normal((20, self.D))
+        for t in (0.0, 0.5, 1 - 1e-9):
+            np.testing.assert_allclose(
+                conditional_mean_x1(with_zero, x, t),
+                conditional_mean_x1(without, x, t),
+                rtol=0,
+                atol=1e-12,
+            )
+
+    def test_far_point_near_t1_is_finite(self, prior):
+        x, t = np.full(self.D, 1e3), 1 - 1e-9
+        got = conditional_mean_x1(prior, x, t)
+        assert np.all(np.isfinite(got))
+        oracle = conditional_mean_by_cholesky(
+            prior.weights, prior.means, prior.covariance, x, t
+        )
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-9 * 1e3)
+
+    def test_covariance_eigh_is_cached_and_read_only(self, prior):
+        eigh = prior.covariance_eigh
+        assert prior.covariance_eigh is eigh
+        lam, u, means_u = eigh
+        for arr in eigh:
+            assert not arr.flags.writeable
+        np.testing.assert_allclose((u * lam) @ u.T, prior.covariance, atol=1e-12)
+        np.testing.assert_allclose(means_u @ u.T, prior.means, atol=1e-12)
 
 
 class TestAnalyticVelocity:

@@ -202,8 +202,21 @@ class TestSolve:
         assert main(["solve", "--config", str(mini_config), "--out", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert "step 3" in err and "field" in err
-        leftovers = list(out.iterdir()) if out.exists() else []
-        assert leftovers == []
+        assert not out.exists()
+
+    def test_failed_solve_keeps_an_existing_directory(self, mini_config, tmp_path, monkeypatch):
+        """Only a directory the failed run created goes; an older one keeps its files."""
+        def boom(*a, **kw):
+            raise flower.FlowerRunError(4, RuntimeError("synthetic"))
+
+        monkeypatch.setattr(cli, "run_batch", boom)
+        out = tmp_path / "earlier"
+        out.mkdir()
+        old = b"# an earlier run's samples\nrun_id,dim_0,dim_1\n0,1.0,2.0\n"
+        (out / "flower_samples.csv").write_bytes(old)
+        assert main(["solve", "--config", str(mini_config), "--out", str(out), "--quiet"]) == 3
+        assert [p.name for p in out.iterdir()] == ["flower_samples.csv"]
+        assert (out / "flower_samples.csv").read_bytes() == old
 
 
 class TestPosteriorExact:
@@ -313,7 +326,7 @@ class TestTrain:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_train_requires_train_section(self, tmp_path):
         head, rest = MINI_TOY.split("[train]", 1)
