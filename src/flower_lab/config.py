@@ -79,13 +79,13 @@ class _Section:
 
     def number(self, key, default=None, required=False):
         val = self.literal(key, default=default, required=required)
-        if val is not None and not isinstance(val, (int, float)):
+        if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
             self._fail(key, f"expected a number, got {val!r}")
         return val
 
     def integer(self, key, default=None, required=False):
         val = self.literal(key, default=default, required=required)
-        if val is not None and not isinstance(val, int):
+        if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
             self._fail(key, f"expected an integer, got {val!r}")
         return val
 
@@ -212,9 +212,7 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
                 beta2=train_sec.number("beta2", default=0.999),
                 epsilon=train_sec.number("epsilon", default=1e-8),
                 seed=train_sec.integer("seed", default=0),
-                hidden_sizes=tuple(
-                    train_sec.literal("hidden_sizes", default=(256, 256))
-                ),
+                hidden_sizes=train_sec.literal("hidden_sizes", default=(256, 256)),
                 dtype=train_sec.string("dtype", default="float32"),
             )
         except ValueError as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .gmm import GaussianMixture, analytic_velocity
 from .mlp import Mlp, MlpWorkspace
@@ -126,6 +125,9 @@ class MinibatchOTCoupling:
     @staticmethod
     def assignment(x0s, x1s) -> np.ndarray:
         """The optimal permutation: row i of x0s pairs with x1s[perm[i]]."""
+        # imported here so that only exact-OT training loads scipy
+        from scipy.optimize import linear_sum_assignment
+
         sq0 = np.sum(x0s * x0s, axis=1)[:, None]
         sq1 = np.sum(x1s * x1s, axis=1)[None, :]
         cost = sq0 + sq1 - 2.0 * (x0s @ x1s.T)
@@ -185,6 +187,14 @@ class TrainConfig:
             raise ValueError("learning_rate and epsilon must be > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
+        sizes = self.hidden_sizes
+        if not isinstance(sizes, (tuple, list)) or not all(
+            type(n) is int and n >= 1 for n in sizes
+        ):
+            raise ValueError(f"hidden_sizes must be positive integers, got {sizes!r}")
+        object.__setattr__(self, "hidden_sizes", tuple(sizes))
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
 class TrainingDivergedError(RuntimeError):

@@ -146,8 +146,7 @@ def refine_mean(x1_hat, obs: LinearGaussianObservation, t: float) -> np.ndarray:
     """
     if t >= 1.0:
         raise ValueError("refinement requires t < 1 (nu_t > 0)")
-    data = obs.operator.apply_adjoint(obs.observation) / (obs.noise_std**2)
-    return _prox_solve(obs, np.asarray(x1_hat, dtype=float) / nu(t) ** 2 + data, t)
+    return _prox_solve(obs, np.asarray(x1_hat, dtype=float) / nu(t) ** 2 + obs.data_rhs, t)
 
 
 def sample_kappa(

@@ -10,7 +10,8 @@ appear: component densities underflow long before the math stops being
 well-conditioned, especially near t = 1 where the path covariance shrinks
 like (1-t)^2.  The field works in Sigma's eigenbasis, factored once per
 prior, where that covariance is diagonal and the responsibilities are a
-max-shifted softmax of one (n, d) x (d, K) product.
+max-shifted softmax of one (n, d) x (d, K) product.  Everything here is
+numpy alone, so importing the package loads no scipy module.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
-from scipy.special import logsumexp
 
 from .operators import LinearOperator, as_vector
 
@@ -64,11 +63,13 @@ class GaussianMixture:
             cov = float(cov) * np.eye(d)
         if cov.shape != (d, d):
             raise ValueError(f"covariance must be ({d}, {d}), got {cov.shape}")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("covariance must be finite")
         if not np.allclose(cov, cov.T, rtol=0, atol=1e-12 * max(1.0, abs(cov).max())):
             raise ValueError("covariance must be symmetric")
         try:
-            self._chol = cholesky(cov, lower=True)
-        except Exception as exc:
+            self._chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
             raise ValueError("covariance is not positive definite") from exc
         self.covariance = cov
         self._log_det = 2.0 * np.log(np.diag(self._chol)).sum()
@@ -107,7 +108,7 @@ class GaussianMixture:
 
     def log_density(self, x):
         """Mixture log-density via log-sum-exp; scalar for (d,), (n,) for (n, d)."""
-        return logsumexp(self.component_log_densities(x), axis=-1)
+        return _logsumexp(self.component_log_densities(x))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n i.i.d. samples: categorical component, then Cholesky noise."""
@@ -131,8 +132,21 @@ class GaussianMixture:
 def _solve_lower(chol_lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L z = rhs row-wise for lower-triangular L; rhs (..., d)."""
     flat = rhs.reshape(-1, rhs.shape[-1])
-    out = solve_triangular(chol_lower, flat.T, lower=True).T
-    return out.reshape(rhs.shape)
+    return np.linalg.solve(chol_lower, flat.T).T.reshape(rhs.shape)
+
+
+def _cholesky_inverse(chol_lower: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 = L^-T L^-1 for a lower Cholesky factor L."""
+    l_inv_t = _solve_lower(chol_lower, np.eye(chol_lower.shape[0]))
+    return l_inv_t @ l_inv_t.T
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, max-shifted; -inf where all of a is -inf."""
+    peak = np.max(a, axis=-1, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - peak), axis=-1)) + peak[..., 0]
 
 
 @dataclass(frozen=True)
@@ -150,6 +164,13 @@ class LinearGaussianObservation:
         y.flags.writeable = False
         object.__setattr__(self, "observation", y)
 
+    @cached_property
+    def data_rhs(self) -> np.ndarray:
+        """s^-2 H^T y, the data term of every prox right-hand side; cached, read-only."""
+        data = self.operator.apply_adjoint(self.observation) / (self.noise_std**2)
+        data.flags.writeable = False
+        return data
+
 
 def posterior_linear_gaussian(
     prior: GaussianMixture, obs: LinearGaussianObservation
@@ -164,16 +185,12 @@ def posterior_linear_gaussian(
 
     with s the noise standard deviation and weights normalized in log space.
     """
-    d = prior.dim
     h_dense = obs.operator.dense_matrix()
     inv_s2 = 1.0 / (obs.noise_std * obs.noise_std)
-    prior_precision = cho_solve(cho_factor(prior.covariance, lower=True), np.eye(d))
+    prior_precision = _cholesky_inverse(prior._chol)
     precision_post = prior_precision + inv_s2 * obs.operator.gram_matrix()
-    cov_post = cho_solve(cho_factor(precision_post, lower=True), np.eye(d))
-    cov_post = 0.5 * (cov_post + cov_post.T)
-
-    hty = obs.operator.apply_adjoint(obs.observation)
-    means_post = (inv_s2 * hty + prior.means @ prior_precision.T) @ cov_post.T
+    cov_post = _cholesky_inverse(np.linalg.cholesky(precision_post))
+    means_post = (obs.data_rhs + prior.means @ prior_precision.T) @ cov_post.T
 
     # marginal likelihood of y under each component
     m = obs.operator.out_dim
@@ -182,13 +199,13 @@ def posterior_linear_gaussian(
         y_cov = h_dense @ prior.covariance @ h_dense.T + (
             obs.noise_std * obs.noise_std
         ) * np.eye(m)
-        y_chol = cholesky(y_cov, lower=True)
+        y_chol = np.linalg.cholesky(y_cov)
         resid = obs.observation - prior.means @ h_dense.T  # (K, M)
         sol = _solve_lower(y_chol, resid)
         maha = np.sum(sol * sol, axis=-1)
         log_det = 2.0 * np.log(np.diag(y_chol)).sum()
         log_w = log_w - 0.5 * (maha + log_det + m * np.log(2.0 * np.pi))
-    log_w = log_w - logsumexp(log_w)
+    log_w = log_w - _logsumexp(log_w)
     return GaussianMixture(np.exp(log_w), means_post, cov_post)
 
 

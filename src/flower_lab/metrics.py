@@ -1,7 +1,7 @@
 """Distribution- and point-level evaluation of sample sets.
 
 The headline distance is sliced Wasserstein-2 with paired sample counts:
-cheap enough for 10^4+ samples, yet checkable against the exact
+cheap enough for 10^4+ samples, and checked in the tests against the exact
 assignment-based W2 at small n.  Acceptance tolerances elsewhere in the
 repo are expressed relative to a self-distance noise floor (the sliced-W2
 between two independent draws of the reference distribution), never as
@@ -11,33 +11,17 @@ absolute numbers.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
-    "wasserstein1d",
     "sliced_w2",
     "empirical_moments",
     "covariance_logdet",
-    "exact_w2",
     "metric_report",
 ]
 
 
 def _as_samples(s) -> np.ndarray:
     return np.atleast_2d(np.asarray(s, float))
-
-
-def wasserstein1d(a, b) -> float:
-    """Exact W2 between two equal-size 1-D empirical distributions.
-
-    Sorts both sides and takes the root-mean-square of order-statistic
-    differences, which is the optimal transport cost on the line.
-    """
-    a = np.sort(np.asarray(a, dtype=float).reshape(-1))
-    b = np.sort(np.asarray(b, dtype=float).reshape(-1))
-    if a.shape != b.shape:
-        raise ValueError(f"sample counts differ: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
 def sliced_w2(a, b, n_projections: int = 128, rng=None) -> float:
@@ -85,24 +69,6 @@ def covariance_logdet(s) -> float | None:
     if x.shape[0] <= x.shape[1] or sign <= 0:
         return None
     return float(logdet)
-
-
-def exact_w2(a, b, max_n: int = 2048) -> float:
-    """Exact W2 by optimal assignment; cross-check only, O(n^3).
-
-    Refuses sample counts beyond max_n, where the cubic assignment becomes
-    the wrong tool.
-    """
-    a, b = _as_samples(a), _as_samples(b)
-    if a.shape != b.shape:
-        raise ValueError("exact_w2 requires equal-shape sample sets")
-    if a.shape[0] > max_n:
-        raise ValueError(f"exact_w2 limited to n <= {max_n}")
-    sq_a = np.sum(a * a, axis=1)[:, None]
-    sq_b = np.sum(b * b, axis=1)[None, :]
-    cost = sq_a + sq_b - 2.0 * (a @ b.T)
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(max(cost[rows, cols].mean(), 0.0)))
 
 
 def metric_report(metric, value, n_a, n_b, n_projections=None, seed=None) -> dict:

@@ -6,7 +6,8 @@ solver code so the tests remain a genuine cross-check.
 """
 
 import numpy as np
-from scipy.linalg import cholesky, solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve, solve_triangular
+from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 
@@ -59,6 +60,63 @@ def conditional_mean_by_cholesky(weights, means, cov, x, t):
     resp = np.exp(log_resp - logsumexp(log_resp, axis=-1, keepdims=True))
     comp_means = means + diff @ slope.T
     return np.sum(resp[..., None] * comp_means, axis=-2)
+
+
+def posterior_by_scipy_cholesky(weights, means, cov, h_dense, noise_std, y):
+    """Exact GMM posterior (weights, means, covariance) under y = Hx + noise.
+
+    Precisions by cho_solve(cho_factor(.), I), the evidence of each component
+    by a scipy Cholesky of H Sigma H^T + s^2 I and a triangular solve, and
+    the weights normalized by scipy's logsumexp.
+    """
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    h_dense = np.atleast_2d(np.asarray(h_dense, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    d, m, s2 = means.shape[1], h_dense.shape[0], noise_std * noise_std
+    eye = np.eye(d)
+    prior_precision = cho_solve(cho_factor(cov, lower=True), eye)
+    cov_post = cho_solve(cho_factor(prior_precision + h_dense.T @ h_dense / s2, lower=True), eye)
+    cov_post = 0.5 * (cov_post + cov_post.T)
+    means_post = (h_dense.T @ y / s2 + means @ prior_precision.T) @ cov_post.T
+    y_chol = cholesky(h_dense @ cov @ h_dense.T + s2 * np.eye(m), lower=True)
+    sol = solve_triangular(y_chol, (y - means @ h_dense.T).T, lower=True).T
+    log_det = 2.0 * np.log(np.diag(y_chol)).sum()
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.asarray(weights, dtype=float))
+    log_w = log_w - 0.5 * (np.sum(sol * sol, axis=-1) + log_det + m * np.log(2.0 * np.pi))
+    return np.exp(log_w - logsumexp(log_w)), means_post, cov_post
+
+
+def wasserstein1d(a, b) -> float:
+    """Exact W2 between two equal-size 1-D empirical distributions.
+
+    Sorts both sides and takes the root-mean-square of order-statistic
+    differences, which is the optimal transport cost on the line.
+    """
+    a = np.sort(np.asarray(a, dtype=float).reshape(-1))
+    b = np.sort(np.asarray(b, dtype=float).reshape(-1))
+    if a.shape != b.shape:
+        raise ValueError(f"sample counts differ: {a.shape[0]} vs {b.shape[0]}")
+    return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
+def exact_w2(a, b, max_n: int = 2048) -> float:
+    """Exact W2 by optimal assignment, O(n^3).
+
+    Refuses sample counts beyond max_n, where the cubic assignment becomes
+    the wrong tool.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.shape != b.shape:
+        raise ValueError("exact_w2 requires equal-shape sample sets")
+    if a.shape[0] > max_n:
+        raise ValueError(f"exact_w2 limited to n <= {max_n}")
+    sq_a = np.sum(a * a, axis=1)[:, None]
+    sq_b = np.sum(b * b, axis=1)[None, :]
+    cost = sq_a + sq_b - 2.0 * (a @ b.T)
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(max(cost[rows, cols].mean(), 0.0)))
 
 
 def gauss_legendre_grid_2d(lim=3.0, n_nodes=400):

@@ -77,10 +77,15 @@ class GramCountingOperator(DenseOperator):
     def __init__(self, matrix):
         super().__init__(matrix)
         self.gram_calls = 0
+        self.adjoint_calls = 0
 
     def gram_matrix(self):
         self.gram_calls += 1
         return super().gram_matrix()
+
+    def apply_adjoint(self, u):
+        self.adjoint_calls += 1
+        return super().apply_adjoint(u)
 
 
 class TestNu:
@@ -313,6 +318,19 @@ class TestProxHighDimension:
             refine_mean(rng.standard_normal(65), obs, k / 10)
             sample_kappa(obs, k / 10, rng, size=2)
         assert op.gram_calls == 1
+
+    def test_data_term_once_per_observation(self):
+        """s^-2 H^T y is one adjoint per observation, with the bytes of the per-call formula."""
+        rng = np.random.default_rng(10)
+        matrix = rng.standard_normal((20, 65))
+        op = GramCountingOperator(matrix)
+        obs = LinearGaussianObservation(op, 0.1, rng.standard_normal(20))
+        for k in range(10):
+            refine_mean(rng.standard_normal((3, 65)), obs, k / 10)
+        assert op.adjoint_calls == 1
+        expected = DenseOperator(matrix).apply_adjoint(obs.observation) / 0.1**2
+        assert obs.data_rhs.tobytes() == expected.tobytes()
+        assert not obs.data_rhs.flags.writeable
 
     def test_run_batch_never_runs_cg_on_a_circulant(self, monkeypatch):
         def no_cg(*args, **kwargs):

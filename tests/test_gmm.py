@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from flower_lab.gmm import (
     GaussianMixture,
     LinearGaussianObservation,
+    _logsumexp,
     analytic_velocity,
     conditional_mean_x1,
     marginal_at_time,
     posterior_linear_gaussian,
 )
-from flower_lab.operators import MaskOperator, RowVectorOperator, ScaledIdentityOperator
+from flower_lab.operators import (
+    Circulant1DOperator,
+    MaskOperator,
+    RowVectorOperator,
+    ScaledIdentityOperator,
+)
 
 from oracles import (
     conditional_mean_by_cholesky,
@@ -19,10 +26,11 @@ from oracles import (
     covariance_standard_errors,
     mean_standard_errors,
     mixture_density,
+    posterior_by_scipy_cholesky,
     posterior_product_on_grid,
 )
 
-from conftest import TOY_COV, TOY_MEANS, TOY_WEIGHTS
+from conftest import TOY_COV, TOY_MEANS, TOY_WEIGHTS, blur_kernel
 
 
 class TestConstruction:
@@ -37,6 +45,14 @@ class TestConstruction:
     def test_singular_covariance_rejected(self):
         with pytest.raises(ValueError):
             GaussianMixture([1.0], [[0.0, 0.0]], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "cov",
+        [[[1.0, 2.0], [2.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]],
+    )
+    def test_indefinite_or_nonfinite_covariance_rejected(self, cov):
+        with pytest.raises(ValueError, match="covariance"):
+            GaussianMixture([1.0], [[0.0, 0.0]], cov)
 
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError):
@@ -77,6 +93,31 @@ class TestLogDensity:
     def test_dimension_mismatch(self, toy_prior):
         with pytest.raises(ValueError):
             toy_prior.log_density(np.zeros(3))
+
+
+class TestLogSumExp:
+    """The package's max-shifted log-sum-exp against scipy's."""
+
+    def test_finite(self):
+        a = 300.0 * np.random.default_rng(2).standard_normal((7, 5))
+        np.testing.assert_allclose(_logsumexp(a), logsumexp(a, axis=-1), rtol=1e-14)
+        assert _logsumexp(a[0]) == pytest.approx(logsumexp(a[0]), rel=1e-14)
+
+    def test_minus_inf_entry_is_a_zero_weight(self):
+        a = np.array([[np.log(0.25), -np.inf, np.log(0.5)], [-np.inf, 0.0, -800.0]])
+        np.testing.assert_allclose(_logsumexp(a), logsumexp(a, axis=-1), rtol=1e-15)
+        assert _logsumexp(a[0]) == pytest.approx(np.log(0.75), rel=1e-15)
+
+    def test_all_minus_inf(self):
+        a = np.full((2, 3), -np.inf)
+        np.testing.assert_array_equal(_logsumexp(a), logsumexp(a, axis=-1))
+        np.testing.assert_array_equal(_logsumexp(a), [-np.inf, -np.inf])
+
+    def test_zero_weight_component_leaves_log_density(self, toy_prior):
+        with_zero = GaussianMixture([0.5, 0.0, 0.5], TOY_MEANS, TOY_COV)
+        without = GaussianMixture([0.5, 0.5], TOY_MEANS[[0, 2]], TOY_COV)
+        x = np.random.default_rng(3).standard_normal((10, 2))
+        np.testing.assert_allclose(with_zero.log_density(x), without.log_density(x), rtol=1e-14)
 
 
 class TestSample:
@@ -169,6 +210,25 @@ class TestPosterior:
         np.testing.assert_allclose(post.weights, toy_prior.weights, rtol=1e-12)
         np.testing.assert_allclose(post.means, toy_prior.means, rtol=1e-10)
         np.testing.assert_allclose(post.covariance, toy_prior.covariance, rtol=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 65, 128])
+    def test_matches_scipy_cholesky(self, d):
+        """The numpy posterior against the scipy Cholesky formula it replaced."""
+        rng = np.random.default_rng(d)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        cov = (q * np.logspace(-3, 0, d)) @ q.T
+        means = 0.1 * rng.standard_normal((3, d))
+        prior = GaussianMixture([0.6, 0.3, 0.1], means, 0.5 * (cov + cov.T))
+        op = Circulant1DOperator(blur_kernel(d)) if d > 2 else RowVectorOperator([1.5, 1.5])
+        y = op.apply(prior.sample(rng, 1)[0]) + 0.05 * rng.standard_normal(op.out_dim)
+        post = posterior_linear_gaussian(prior, LinearGaussianObservation(op, 0.05, y))
+        weights, means_post, cov_post = posterior_by_scipy_cholesky(
+            prior.weights, prior.means, prior.covariance, op.dense_matrix(), 0.05, y
+        )
+        assert weights.min() > 0.01  # every component keeps a visible share
+        np.testing.assert_allclose(post.weights, weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(post.means, means_post, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(post.covariance, cov_post, rtol=0, atol=1e-12)
 
 
 class TestMarginalAtTime:

@@ -97,6 +97,46 @@ class TestConfigErrors:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, old, new",
+        [
+            ("n_steps", "n_steps = 25", "n_steps = True"),
+            ("gamma", "gamma = 1", "gamma = True"),
+            ("noise_std", "[solver]", "[solver]\nnoise_std = True"),
+            ("seed", "seed = 5", "seed = False"),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, key, old, new):
+        """True parses as a Python literal, but it is no step count, gamma or noise level."""
+        path = tmp_path / "bool.cfg"
+        path.write_text(MINI_TOY.replace(old, new))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        out = tmp_path / "out"
+        code = main(["solve", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, old, new",
+        [
+            ("hidden_sizes", "hidden_sizes = (16, 16)", "hidden_sizes = 64"),
+            ("hidden_sizes", "hidden_sizes = (16, 16)", "hidden_sizes = [0]"),
+            ("hidden_sizes", "hidden_sizes = (16, 16)", "hidden_sizes = (16, True)"),
+            ("dtype", "dtype = float64", "dtype = foo"),
+        ],
+    )
+    def test_train_network_is_validated(self, tmp_path, key, old, new):
+        """A network that cannot be built is a config error, not a traceback mid-training."""
+        path = tmp_path / "net.cfg"
+        path.write_text(MINI_TOY.replace(old, new))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_checkpoint_must_exist_for_mlp_field(self, tmp_path):
         text = MINI_TOY.replace(
             "kind = analytic", "kind = mlp\ncheckpoint = missing.flw"
