@@ -12,16 +12,19 @@ Output contracts, fixed for regression testing:
 
 solve draws every sample in one lockstep batch; with record_trajectory the
 first n_trajectories rows of that batch (raw runs, before n_avg averaging)
-are written out stage by stage.  The baselines draw from SeedSequence
-children of the seed, so they never share a stream with the solver.
+are written out stage by stage.  Everything but the solver draws from a
+SeedSequence child k of the seed, so no stream is shared with the solver:
+k = 1 the exact posterior samples (solve and posterior-exact write the same
+file), 2 the sliced-W2 projections, 3 the unconditional baseline, 5
+sample-prior; 4 is reserved.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -140,20 +143,32 @@ def _load_field(cfg: ExperimentConfig, workdir: Path):
     return _train_into(cfg, cfg.train, workdir)[0]
 
 
+@contextlib.contextmanager
+def _output_dir(directory: Path):
+    """Create directory; on leaving, remove it if this run created it and left it empty."""
+    created = not directory.exists()
+    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    finally:
+        if created and not any(directory.iterdir()):  # empty: the run failed
+            directory.rmdir()
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
     if cfg.train is None:
         raise ConfigError(f"{cfg.path}: train requires a [train] section")
     train_cfg = cfg.train
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _say(args, f"training {train_cfg.steps} steps (batch {train_cfg.batch_size}) ...")
-    _, losses = _train_into(cfg, train_cfg, cfg.output_dir)
+    with _output_dir(cfg.output_dir):
+        _, losses = _train_into(cfg, train_cfg, cfg.output_dir)
     _say(args, f"wrote {cfg.output_dir / 'checkpoint.flw'} (final loss {losses[-1]:.6f})")
     return EXIT_OK
 
 
 def _baseline_rng(seed: int, k: int) -> np.random.Generator:
-    """Baseline stream k: a SeedSequence child of seed, apart from default_rng(seed)."""
+    """Stream k: a SeedSequence child of seed, apart from the solver's default_rng(seed)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
@@ -161,10 +176,10 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
     solver = cfg.solver
     obs = cfg.observation
-    created = not cfg.output_dir.exists()
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    scratch = Path(tempfile.mkdtemp(prefix=".solve-", dir=cfg.output_dir))
-    try:
+    with _output_dir(cfg.output_dir), tempfile.TemporaryDirectory(
+        prefix=".solve-", dir=cfg.output_dir, ignore_cleanup_errors=True
+    ) as tmp:
+        scratch = Path(tmp)
         field = _load_field(cfg, scratch)
         _say(
             args,
@@ -254,10 +269,6 @@ def cmd_solve(args) -> int:
         names.remove("metrics.json")
         for name in names + ["metrics.json"]:
             os.replace(scratch / name, cfg.output_dir / name)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-        if created and not any(cfg.output_dir.iterdir()):  # empty: the solve failed
-            cfg.output_dir.rmdir()
     _say(args, f"wrote {cfg.output_dir}/flower_samples.csv and metrics.json")
     return EXIT_OK
 
@@ -265,8 +276,7 @@ def cmd_solve(args) -> int:
 def cmd_posterior_exact(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
     post = posterior_linear_gaussian(cfg.prior, cfg.observation)
-    rng = np.random.default_rng(cfg.solver.seed)
-    samples = post.sample(rng, cfg.n_samples)
+    samples = post.sample(_baseline_rng(cfg.solver.seed, 1), cfg.n_samples)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "exact_posterior_samples.csv"
     write_samples_csv(out, samples, cfg, cfg.solver.seed)
@@ -276,8 +286,7 @@ def cmd_posterior_exact(args) -> int:
 
 def cmd_sample_prior(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-    rng = np.random.default_rng(cfg.solver.seed)
-    samples = cfg.prior.sample(rng, cfg.n_samples)
+    samples = cfg.prior.sample(_baseline_rng(cfg.solver.seed, 5), cfg.n_samples)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "prior_samples.csv"
     write_samples_csv(out, samples, cfg, cfg.solver.seed)

@@ -10,8 +10,11 @@ appear: component densities underflow long before the math stops being
 well-conditioned, especially near t = 1 where the path covariance shrinks
 like (1-t)^2.  The field works in Sigma's eigenbasis, factored once per
 prior, where that covariance is diagonal and the responsibilities are a
-max-shifted softmax of one (n, d) x (d, K) product.  Everything here is
-numpy alone, so importing the package loads no scipy module.
+max-shifted softmax of one (K, d) x (d, n) product, kept component-major,
+(K, n): numpy reduces and broadcasts along a short last axis row by row, so
+with K of a few an (n, K) softmax spends most of a batch evaluation there.
+Everything here is numpy alone, so importing the package loads no scipy
+module.
 """
 
 from __future__ import annotations
@@ -235,14 +238,22 @@ def conditional_mean_x1(prior: GaussianMixture, x, t: float) -> np.ndarray:
         raise ValueError(f"x has dimension {x.shape[-1]}, expected {prior.dim}")
     # In Sigma's eigenbasis, z = x U, the path covariance is diag(s), the slope is
     # diag(t lam / s) (so 1 - t slope = (1-t)^2 / s) and the k-free sum(z^2 / s) drops out.
+    # The logits are component-major, (K, n), so the softmax's reductions and
+    # broadcasts sweep the batch; the max-shift is still one per point (column).
+    # In place, because a fresh batch-sized temporary can cost page faults when
+    # the allocator has handed the heap top back between calls.
     lam, u, means_u = prior.covariance_eigh
     s = (t * t) * lam + (1.0 - t) ** 2
-    z = x @ u
+    z = x.reshape(-1, prior.dim) @ u
     c = means_u * (t / s)
-    logits = prior.log_weights + z @ c.T - (0.5 * t) * np.sum(means_u * c, axis=-1)
-    resp = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    resp /= resp.sum(axis=-1, keepdims=True)
-    return ((t * lam / s) * z + resp @ (means_u * ((1.0 - t) ** 2 / s))) @ u.T
+    resp = c @ z.T
+    resp += (prior.log_weights - (0.5 * t) * np.sum(means_u * c, axis=-1))[:, None]
+    resp -= resp.max(axis=0)
+    np.exp(resp, out=resp)
+    resp /= resp.sum(axis=0)
+    z *= t * lam / s
+    z += resp.T @ (means_u * ((1.0 - t) ** 2 / s))
+    return (z @ u.T).reshape(x.shape)
 
 
 def analytic_velocity(prior: GaussianMixture, x, t: float) -> np.ndarray:

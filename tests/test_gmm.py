@@ -261,11 +261,12 @@ class TestMarginalAtTime:
             marginal_at_time(toy_prior, 1.5)
 
 
-def ill_conditioned_prior(d, rng):
-    """K = 3 with unequal weights and a full covariance of condition number 1e5."""
+def ill_conditioned_prior(d, rng, weights=(0.6, 0.3, 0.1)):
+    """Unequal weights (K = 3 by default) and a full covariance of condition number 1e5."""
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     cov = (q * np.logspace(-5, 0, d)) @ q.T
-    return GaussianMixture([0.6, 0.3, 0.1], rng.standard_normal((3, d)), 0.5 * (cov + cov.T))
+    means = rng.standard_normal((len(weights), d))
+    return GaussianMixture(weights, means, 0.5 * (cov + cov.T))
 
 
 class TestConditionalMean:
@@ -339,18 +340,49 @@ class TestConditionalMean:
     def test_matches_cholesky_reference(self, d):
         """The eigenbasis field against a per-call Cholesky of the path covariance."""
         rng = np.random.default_rng(d)
-        prior = ill_conditioned_prior(d, rng)
-        for t in (0.0, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9):
-            on_path = (1 - t) * rng.standard_normal((30, d)) + t * prior.sample(rng, 30)
+        for weights in ([0.6, 0.3, 0.1], [1.0], np.arange(9, 0, -1) / 45):
+            prior = ill_conditioned_prior(d, rng, weights)
             # midway between two scaled means the responsibilities follow the weights
-            between = t * (prior.means[[0, 0, 1]] + prior.means[[1, 2, 2]]) / 2
-            x = np.vstack([on_path, between])
-            oracle = conditional_mean_by_cholesky(
-                prior.weights, prior.means, prior.covariance, x, t
-            )
-            np.testing.assert_allclose(
-                conditional_mean_x1(prior, x, t), oracle, rtol=0, atol=1e-9
-            )
+            first, second = (idx[:3] for idx in np.triu_indices(len(weights), 1))
+            for t in (0.0, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9):
+                on_path = (1 - t) * rng.standard_normal((30, d)) + t * prior.sample(rng, 30)
+                between = t * (prior.means[first] + prior.means[second]) / 2
+                x = np.vstack([on_path, between])
+                oracle = conditional_mean_by_cholesky(
+                    prior.weights, prior.means, prior.covariance, x, t
+                )
+                np.testing.assert_allclose(
+                    conditional_mean_x1(prior, x, t), oracle, rtol=0, atol=1e-9
+                )
+
+    @pytest.mark.parametrize("t", [0.5, 1 - 1e-9])
+    def test_rows_are_independent(self, t):
+        """A far row changes no other row of its batch: the softmax shift is per row.
+
+        Each row matches its own one-row evaluation and the Cholesky oracle to
+        1e-9 relative to the row's scale (1 near the origin, 1e3 for the far row).
+        """
+        d = 65
+        prior = ill_conditioned_prior(d, np.random.default_rng(67))
+        near = 1e-3 * np.random.default_rng(68).standard_normal((2, d))
+        x = np.vstack([near[0], np.full(d, 1e3), near[1]])
+        batch = conditional_mean_x1(prior, x, t)
+        oracle = conditional_mean_by_cholesky(
+            prior.weights, prior.means, prior.covariance, x, t
+        )
+        for row, got, want in zip(x, batch, oracle):
+            atol = 1e-9 * max(1.0, np.abs(row).max())
+            alone = conditional_mean_x1(prior, row[None], t)[0]
+            np.testing.assert_allclose(got, alone, rtol=0, atol=atol)
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+    def test_vector_input_is_a_one_row_batch(self):
+        prior = ill_conditioned_prior(65, np.random.default_rng(69))
+        x = np.random.default_rng(70).standard_normal(65)
+        for t in (0.0, 0.5, 1 - 1e-9):
+            single = conditional_mean_x1(prior, x, t)
+            assert single.shape == (65,)
+            assert np.array_equal(single, conditional_mean_x1(prior, x[None], t)[0])
 
 
 class TestHighDimensionRobustness:

@@ -297,6 +297,15 @@ class TestPosteriorExact:
         se = rows.std(axis=0, ddof=1) / np.sqrt(len(rows))
         assert np.all(np.abs(rows.mean(axis=0) - post.mean()) <= 3 * se)
 
+    def test_same_file_as_solve(self, mini_config, tmp_path):
+        """posterior-exact writes the baseline file solve writes for the same config and seed."""
+        files = []
+        for verb in ("solve", "posterior-exact"):
+            out = tmp_path / verb
+            assert main([verb, "--config", str(mini_config), "--out", str(out), "--quiet"]) == 0
+            files.append((out / "exact_posterior_samples.csv").read_bytes())
+        assert files[0] == files[1]
+
 
 class TestSamplePrior:
     def test_writes_prior_samples(self, mini_config, tmp_path):
@@ -367,6 +376,25 @@ class TestTrain:
         assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_diverging_train_leaves_no_directory(self, tmp_path, capsys):
+        path = tmp_path / "diverge.cfg"
+        path.write_text(MINI_TOY.replace("learning_rate = 0.001", "learning_rate = 1e300"))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_train_keeps_an_existing_directory(self, tmp_path):
+        path = tmp_path / "diverge.cfg"
+        path.write_text(MINI_TOY.replace("learning_rate = 0.001", "learning_rate = 1e300"))
+        out = tmp_path / "earlier"
+        out.mkdir()
+        old = b"# an earlier run's loss curve\nstep,loss\n0,1.0\n"
+        (out / "loss.csv").write_bytes(old)
+        assert main(["train", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        assert [p.name for p in out.iterdir()] == ["loss.csv"]
+        assert (out / "loss.csv").read_bytes() == old
 
     def test_train_requires_train_section(self, tmp_path):
         head, rest = MINI_TOY.split("[train]", 1)
