@@ -13,10 +13,8 @@ from .operators import (
     DenseOperator,
     LinearOperator,
     MaskOperator,
-    RowVectorOperator,
     ScaledIdentityOperator,
     SpdSolveError,
-    SpdSolveOptions,
     solve_spd,
 )
 

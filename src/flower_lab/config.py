@@ -22,8 +22,8 @@ from .operators import (
     Circulant1DOperator,
     DenseOperator,
     MaskOperator,
-    RowVectorOperator,
     ScaledIdentityOperator,
+    as_vector,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
@@ -57,6 +57,12 @@ class ExperimentConfig:
         return IndependentCoupling()
 
 
+def _contains_bool(val):
+    if isinstance(val, bool):
+        return True
+    return isinstance(val, (list, tuple, set)) and any(_contains_bool(v) for v in val)
+
+
 class _Section:
     def __init__(self, cfg_path, name, mapping):
         self.cfg_path = cfg_path
@@ -76,6 +82,13 @@ class _Section:
             return ast.literal_eval(text)
         except (ValueError, SyntaxError):
             self._fail(key, f"cannot parse value {text!r}")
+
+    def array(self, key):
+        """A required number or nested list of numbers; booleans are rejected."""
+        val = self.literal(key, required=True)
+        if _contains_bool(val):
+            self._fail(key, "expected numbers, found a boolean")
+        return val
 
     def number(self, key, default=None, required=False):
         val = self.literal(key, default=default, required=required)
@@ -110,15 +123,13 @@ class _Section:
 def _build_operator(sec: _Section):
     kind = sec.string("operator", required=True)
     if kind == "row_vector":
-        return RowVectorOperator(sec.literal("h", required=True))
+        return DenseOperator([as_vector(sec.array("h"), name="h")])
     if kind == "dense":
-        return DenseOperator(sec.literal("matrix", required=True))
+        return DenseOperator(sec.array("matrix"))
     if kind == "mask":
-        return MaskOperator(
-            sec.literal("kept", required=True), dim=sec.integer("dim", required=True)
-        )
+        return MaskOperator(sec.array("kept"), dim=sec.integer("dim", required=True))
     if kind == "circulant1d":
-        return Circulant1DOperator(sec.literal("kernel", required=True))
+        return Circulant1DOperator(sec.array("kernel"))
     if kind == "scaled_identity":
         return ScaledIdentityOperator(
             sec.number("scale", required=True), dim=sec.integer("dim", required=True)
@@ -155,12 +166,9 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
         return _Section(path, name, dict(parser.items(name)))
 
     prior_sec = section("prior")
+    arrays = [prior_sec.array(key) for key in ("weights", "means", "covariance")]
     try:
-        prior = GaussianMixture(
-            prior_sec.literal("weights", required=True),
-            prior_sec.literal("means", required=True),
-            prior_sec.literal("covariance", required=True),
-        )
+        prior = GaussianMixture(*arrays)
     except ValueError as exc:
         raise ConfigError(f"{path}: [prior] {exc}") from exc
 
@@ -170,7 +178,7 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
         observation = LinearGaussianObservation(
             operator,
             obs_sec.number("noise_std", required=True),
-            obs_sec.literal("y", required=True),
+            obs_sec.array("y"),
         )
     except ConfigError:
         raise
@@ -260,6 +268,8 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
     )
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
+    if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+        raise ConfigError(f"{path}: output directory {out_dir} is a file or lies under one")
 
     return ExperimentConfig(
         path=path,

@@ -183,6 +183,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.batch_size, self.steps) < 1:
             raise ValueError("batch_size and steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.learning_rate <= 0 or self.epsilon <= 0:
             raise ValueError("learning_rate and epsilon must be > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):

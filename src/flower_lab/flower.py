@@ -12,15 +12,17 @@ One iteration at time t = k/N:
 The schedule runs k = 0..N-1, so the refinement never sees t = 1 and the
 final progression lands on t = 1 exactly, returning x1_tilde unchanged.
 
-Both halves of step 2 solve that system one way: a diagonal scaling in the
+Step 2 has two public halves, ``refine_mean`` (mu_t) and ``sample_kappa``
+(kappa_t), and both solve that system one way: a diagonal scaling in the
 eigenbasis of H^T H, factored once per operator, or matrix-free CG for an
 operator without a Gram matrix.
 
 The step functions accept a single state ``(d,)`` or a lockstep batch
-``(n, d)``.  ``run_batch`` is the one driver: it runs those step functions
-on a batch of ``n`` trajectories in lockstep from one stream, and can
-record the first rows of every stage.  A non-finite state stops it at the
-step and stage where it appears.
+``(n, d)``.  ``run_batch`` is the one driver and the one place that
+composes step 2, drawing kappa only for gamma = 1.  It runs those step
+functions on a batch of ``n`` trajectories in lockstep from one stream, and
+can record the first rows of every stage.  A non-finite state stops it at
+the step and stage where it appears.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .flow import VelocityField
 from .gmm import LinearGaussianObservation
-from .operators import SpdSolveOptions, solve_spd
+from .operators import solve_spd
 
 __all__ = [
     "FlowerConfig",
@@ -41,7 +43,6 @@ __all__ = [
     "destination_estimate",
     "refine_mean",
     "sample_kappa",
-    "refine",
     "time_progress",
     "run_batch",
 ]
@@ -73,6 +74,8 @@ class FlowerConfig:
             raise ValueError("gamma must be 0 or 1")
         if not self.noise_std > 0:
             raise ValueError("noise_std must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_avg < 1:
             raise ValueError("n_avg must be >= 1")
         if self.n_trajectories < 0:
@@ -105,10 +108,6 @@ class FlowerRunError(RuntimeError):
         self.step = step
 
 
-# the CG fallback's tolerance, tight enough to match the eigenbasis path to 1e-8
-_CG_OPTIONS = SpdSolveOptions(rel_tolerance=1e-12)
-
-
 def _prox_solve(obs: LinearGaussianObservation, rhs: np.ndarray, t: float) -> np.ndarray:
     """Solve (nu_t^-2 I + s^-2 H^T H) z = rhs for a 1-D or (n, d) right-hand side.
 
@@ -125,9 +124,10 @@ def _prox_solve(obs: LinearGaussianObservation, rhs: np.ndarray, t: float) -> np
         def matvec(v):
             return inv_nu2 * v + inv_s2 * obs.operator.gram_apply(v)
 
+        # 1e-12 matches the eigenbasis path to 1e-8
         if rhs.ndim == 1:
-            return solve_spd(matvec, rhs, _CG_OPTIONS)
-        return np.stack([solve_spd(matvec, row, _CG_OPTIONS) for row in rhs])
+            return solve_spd(matvec, rhs, 1e-12)
+        return np.stack([solve_spd(matvec, row, 1e-12) for row in rhs])
     return ((rhs @ u) / (inv_nu2 + inv_s2 * lam)) @ u.T
 
 
@@ -168,25 +168,6 @@ def sample_kappa(
     eps1 = rng.standard_normal(shape + (op.in_dim,))
     eps2 = rng.standard_normal(shape + (op.out_dim,))
     return _prox_solve(obs, eps1 / nu(t) + op.apply_adjoint(eps2) / obs.noise_std, t)
-
-
-def refine(
-    x1_hat,
-    obs: LinearGaussianObservation,
-    t: float,
-    gamma: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Step 2: refinement mean plus, for gamma = 1, a covariance draw.
-
-    With gamma = 0 no random numbers are consumed, so the gamma = 1 output
-    differs from the gamma = 0 output by exactly one kappa draw.
-    """
-    mean = refine_mean(x1_hat, obs, t)
-    if gamma == 0:
-        return mean
-    size = None if mean.ndim == 1 else mean.shape[0]
-    return mean + sample_kappa(obs, t, rng, size=size)
 
 
 def time_progress(x1_tilde, t: float, dt: float, rng: np.random.Generator) -> np.ndarray:

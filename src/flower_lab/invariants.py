@@ -22,7 +22,6 @@ from .operators import (
     Circulant1DOperator,
     DenseOperator,
     MaskOperator,
-    RowVectorOperator,
     ScaledIdentityOperator,
     solve_spd,
 )
@@ -51,13 +50,13 @@ def _reference_prior():
 
 
 def _reference_obs():
-    return LinearGaussianObservation(RowVectorOperator([1.5, 1.5]), 0.25, [1.0])
+    return LinearGaussianObservation(DenseOperator([[1.5, 1.5]]), 0.25, [1.0])
 
 
 def _operator_zoo(rng, d=6):
     return [
         DenseOperator(rng.standard_normal((4, d))),
-        RowVectorOperator(rng.standard_normal(d)),
+        DenseOperator([rng.standard_normal(d)]),
         MaskOperator([0, 2, d - 1], d),
         Circulant1DOperator(rng.standard_normal(d)),
         ScaledIdentityOperator(1.3, d),
@@ -191,7 +190,7 @@ def check_refinement_moments(rng, n=100_000):
     obs = _reference_obs()
     t = 0.5
     xhat = np.array([0.3, 0.1])
-    draws = flower.refine(np.broadcast_to(xhat, (n, 2)), obs, t, 1, rng)
+    draws = flower.refine_mean(xhat, obs, t) + flower.sample_kappa(obs, t, rng, size=n)
     z = _moment_zscores(draws, _inline_mu_t(obs, xhat, t), _inline_sigma_t(obs, t))
     return _result("refinement moments (mean mu_t, cov Sigma_t)", z, 3.0)
 
@@ -201,7 +200,7 @@ def check_progressed_moments(rng, n=100_000):
     obs = _reference_obs()
     t, dt = 0.5, 0.125
     xhat = np.array([0.3, 0.1])
-    tilde = flower.refine(np.broadcast_to(xhat, (n, 2)), obs, t, 1, rng)
+    tilde = flower.refine_mean(xhat, obs, t) + flower.sample_kappa(obs, t, rng, size=n)
     nxt = flower.time_progress(tilde, t, dt, rng)
     s = t + dt
     mean_oracle = s * _inline_mu_t(obs, xhat, t)

@@ -3,7 +3,8 @@
 Every operator maps R^d -> R^M and codes ``apply`` (Hx) and ``apply_adjoint``
 (H^T u) by hand, so ``<Hx, u> == <x, H^T u>`` holds to rounding for all
 variants; ``gram_apply`` (H^T H x) composes the two.  All actions accept a
-single vector ``(d,)`` or a row-wise batch ``(n, d)``.
+single vector ``(d,)`` or a row-wise batch ``(n, d)``.  A single measurement
+row h^T is the one-row ``DenseOperator([h])``.
 
 The proximal system (a I + b H^T H) z = r is solved one way: ``gram_eigh``
 factors ``gram_matrix`` (H^T H, from ``dense_matrix`` by default) once per
@@ -17,7 +18,6 @@ threads; every action is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -26,11 +26,9 @@ import numpy as np
 __all__ = [
     "LinearOperator",
     "DenseOperator",
-    "RowVectorOperator",
     "MaskOperator",
     "Circulant1DOperator",
     "ScaledIdentityOperator",
-    "SpdSolveOptions",
     "SpdSolveError",
     "as_vector",
     "solve_spd",
@@ -133,26 +131,6 @@ class DenseOperator(LinearOperator):
         return np.array(self.matrix)
 
 
-class RowVectorOperator(LinearOperator):
-    """Single-row operator h^T: R^d -> R^1 (one scalar measurement)."""
-
-    def __init__(self, h):
-        self.h = as_vector(h, name="h")
-        self.h.flags.writeable = False
-        self.in_dim = self.h.shape[0]
-        self.out_dim = 1
-
-    def _apply(self, x):
-        y = x @ self.h
-        return y[..., None] if np.ndim(y) else np.array([y])
-
-    def _apply_adjoint(self, u):
-        return u[..., 0, None] * self.h
-
-    def dense_matrix(self):
-        return self.h[None, :].copy()
-
-
 class MaskOperator(LinearOperator):
     """Coordinate selection: keeps the listed indices, drops the rest.
 
@@ -162,6 +140,13 @@ class MaskOperator(LinearOperator):
     """
 
     def __init__(self, kept, dim: int):
+        try:
+            kept = list(kept)
+        except TypeError:
+            raise ValueError(f"kept must be a collection of integers, got {kept!r}") from None
+        bad = [k for k in kept if isinstance(k, bool) or not isinstance(k, (int, np.integer))]
+        if bad:
+            raise ValueError(f"kept indices must be integers, got {bad[0]!r}")
         kept_arr = np.asarray(sorted(set(int(k) for k in kept)), dtype=int)
         if kept_arr.size and (kept_arr[0] < 0 or kept_arr[-1] >= dim):
             raise ValueError(f"kept indices must lie in [0, {dim})")
@@ -228,23 +213,6 @@ class ScaledIdentityOperator(LinearOperator):
         return self.scale * np.eye(self.in_dim)
 
 
-@dataclass(frozen=True)
-class SpdSolveOptions:
-    """Tolerances for the conjugate-gradient SPD solve.
-
-    ``max_iterations=None`` means the 10*d default is picked at solve time.
-    """
-
-    rel_tolerance: float = 1e-10
-    max_iterations: int | None = None
-
-    def __post_init__(self):
-        if not self.rel_tolerance > 0:
-            raise ValueError("rel_tolerance must be > 0")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
 class SpdSolveError(RuntimeError):
     """CG failed: the residual missed its target, or the matvec is not SPD."""
 
@@ -257,27 +225,29 @@ class SpdSolveError(RuntimeError):
 def solve_spd(
     matvec: Callable[[np.ndarray], np.ndarray],
     b,
-    opts: SpdSolveOptions | None = None,
+    rel_tolerance: float = 1e-10,
 ) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A given by ``matvec``.
 
     Uses conjugate gradients from a zero start, for systems known only by
-    their action.  The returned x satisfies
+    their action, with at most 10*d iterations.  The returned x satisfies
     ``||matvec(x) - b|| <= rel_tolerance * ||b||``.
 
     Raises:
-        SpdSolveError: CG did not converge within ``max_iterations``, or a
+        ValueError: rel_tolerance is not > 0.
+        SpdSolveError: CG did not converge within 10*d iterations, or a
             curvature p.Ap was not a positive finite number (the error
             carries the residual norm at that point).
     """
-    opts = opts or SpdSolveOptions()
+    if not rel_tolerance > 0:
+        raise ValueError("rel_tolerance must be > 0")
     b = as_vector(b, name="b")
     d = b.shape[0]
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(d)
-    max_iter = opts.max_iterations if opts.max_iterations is not None else 10 * d
-    tol = opts.rel_tolerance * b_norm
+    max_iter = 10 * d
+    tol = rel_tolerance * b_norm
 
     x = np.zeros(d)
     r = b.copy()

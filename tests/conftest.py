@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flower_lab.gmm import GaussianMixture, LinearGaussianObservation
-from flower_lab.operators import RowVectorOperator
+from flower_lab.operators import DenseOperator
 
 TOY_WEIGHTS = np.array([1.0, 1.0, 1.0]) / 3.0
 TOY_MEANS = np.array([[-0.25, -0.25], [-0.25, 0.25], [0.25, -0.25]])
@@ -66,12 +66,12 @@ def toy_prior():
 @pytest.fixture(scope="session")
 def toy1_obs():
     return LinearGaussianObservation(
-        operator=RowVectorOperator([1.5, 1.5]), noise_std=0.25, observation=[1.0]
+        operator=DenseOperator([[1.5, 1.5]]), noise_std=0.25, observation=[1.0]
     )
 
 
 @pytest.fixture(scope="session")
 def toy2_obs():
     return LinearGaussianObservation(
-        operator=RowVectorOperator([1.5, -1.5]), noise_std=0.75, observation=[1.0]
+        operator=DenseOperator([[1.5, -1.5]]), noise_std=0.75, observation=[1.0]
     )

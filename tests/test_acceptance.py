@@ -27,7 +27,6 @@ from flower_lab.flower import (
     FlowerConfig,
     destination_estimate,
     nu,
-    refine,
     refine_mean,
     run_batch,
     sample_kappa,
@@ -45,9 +44,7 @@ from flower_lab.operators import (
     Circulant1DOperator,
     DenseOperator,
     MaskOperator,
-    RowVectorOperator,
     ScaledIdentityOperator,
-    SpdSolveOptions,
     solve_spd,
 )
 
@@ -180,10 +177,8 @@ class TestA5RefinementMoments:
     def test_a5(self, toy1_obs):
         start = time.perf_counter()
         t, xhat, n = 0.5, np.array([0.3, 0.1]), 100_000
-        draws = refine(
-            np.broadcast_to(xhat, (n, 2)), toy1_obs, t, 1, np.random.default_rng(50)
-        )
         mu = refine_mean(xhat, toy1_obs, t)
+        draws = mu + sample_kappa(toy1_obs, t, np.random.default_rng(50), size=n)
         h = toy1_obs.operator.dense_matrix()
         sigma = np.linalg.inv(np.eye(2) / nu(t) ** 2 + h.T @ h / 0.25**2)
         z_mean = np.max(np.abs(draws.mean(0) - mu) / mean_standard_errors(draws))
@@ -201,9 +196,8 @@ class TestA6ProgressedMoments:
     def test_a6(self, toy1_obs):
         t, dt, xhat, n = 0.5, 0.125, np.array([0.3, 0.1]), 100_000
         rng = np.random.default_rng(60)
-        tilde = refine(np.broadcast_to(xhat, (n, 2)), toy1_obs, t, 1, rng)
-        nxt = time_progress(tilde, t, dt, rng)
         mu = refine_mean(xhat, toy1_obs, t)
+        nxt = time_progress(mu + sample_kappa(toy1_obs, t, rng, size=n), t, dt, rng)
         h = toy1_obs.operator.dense_matrix()
         sigma = np.linalg.inv(np.eye(2) / nu(t) ** 2 + h.T @ h / 0.25**2)
         s = t + dt
@@ -306,7 +300,7 @@ class TestA10ProxCorrectness:
         d = 8
         ops = [
             DenseOperator(rng.standard_normal((5, d))),
-            RowVectorOperator(rng.standard_normal(d)),
+            DenseOperator([rng.standard_normal(d)]),
             MaskOperator([0, 3, 7], d),
             Circulant1DOperator(rng.standard_normal(d)),
             ScaledIdentityOperator(1.2, d),
@@ -332,7 +326,7 @@ class TestA10ProxCorrectness:
             a = rng.standard_normal((d, d))
             spd = a @ a.T + d * np.eye(d)
             b = rng.standard_normal(d)
-            via_cg = solve_spd(lambda v: spd @ v, b, SpdSolveOptions(rel_tolerance=1e-12))
+            via_cg = solve_spd(lambda v: spd @ v, b, rel_tolerance=1e-12)
             via_chol = cho_solve(cho_factor(spd), b)
             worst = max(
                 worst,

@@ -13,7 +13,6 @@ from flower_lab.flower import (
     FlowerRunError,
     destination_estimate,
     nu,
-    refine,
     refine_mean,
     run_batch,
     sample_kappa,
@@ -30,7 +29,6 @@ from flower_lab.operators import (
     DenseOperator,
     LinearOperator,
     MaskOperator,
-    RowVectorOperator,
     ScaledIdentityOperator,
     solve_spd,
 )
@@ -159,7 +157,7 @@ class TestRefineMean:
         d = 6
         ops = [
             DenseOperator(rng.standard_normal((4, d))),
-            RowVectorOperator(rng.standard_normal(d)),
+            DenseOperator([rng.standard_normal(d)]),
             MaskOperator([0, 3, 5], d),
             Circulant1DOperator(rng.standard_normal(d)),
             ScaledIdentityOperator(0.8, d),
@@ -291,9 +289,9 @@ class TestProxHighDimension:
             free.operator.gram_eigh
         cg_solves = []
 
-        def counting_solve_spd(matvec, b, opts=None):
+        def counting_solve_spd(matvec, b, rel_tolerance=1e-10):
             cg_solves.append(b.shape)
-            return solve_spd(matvec, b, opts)
+            return solve_spd(matvec, b, rel_tolerance)
 
         monkeypatch.setattr(flower, "solve_spd", counting_solve_spd)
         xhat = rng.standard_normal((3, d))
@@ -348,27 +346,32 @@ class TestProxHighDimension:
 
 
 class TestRefine:
-    def test_gamma_zero_is_refine_mean_bitwise(self, toy1_obs):
-        xhat = np.array([0.2, 0.6])
-        rng = np.random.default_rng(19)
-        out = refine(xhat, toy1_obs, 0.4, 0, rng)
-        np.testing.assert_array_equal(out, refine_mean(xhat, toy1_obs, 0.4))
+    """Step 2 as run_batch composes it: refine_mean plus, for gamma = 1, one kappa draw."""
 
-    def test_gamma_one_adds_exactly_one_kappa(self, toy1_obs):
-        xhat = np.array([0.2, 0.6])
-        with_noise = refine(xhat, toy1_obs, 0.4, 1, np.random.default_rng(23))
-        without = refine(xhat, toy1_obs, 0.4, 0, np.random.default_rng(23))
-        kappa = sample_kappa(toy1_obs, 0.4, np.random.default_rng(23))
+    def test_gamma_zero_is_refine_mean_bitwise(self, toy_prior, toy1_obs):
+        """N=1 lands on step 2's output exactly; with gamma = 0 that is refine_mean."""
+        field = AnalyticGmmField(toy_prior)
+        cfg = FlowerConfig(n_steps=1, gamma=0, noise_std=0.25, seed=19)
+        x0 = np.random.default_rng(19).standard_normal((3, 2))
+        mu = refine_mean(destination_estimate(field, x0, 0.0), toy1_obs, 0.0)
+        assert run_batch(field, toy1_obs, cfg, 3).tobytes() == mu.tobytes()
+
+    def test_gamma_one_adds_exactly_one_kappa(self, toy_prior, toy1_obs):
+        field = AnalyticGmmField(toy_prior)
+        with_noise, without = (
+            run_batch(field, toy1_obs, FlowerConfig(1, gamma, 0.25, seed=23), 3)
+            for gamma in (1, 0)
+        )
+        rng = np.random.default_rng(23)
+        rng.standard_normal((3, 2))  # x0
+        kappa = sample_kappa(toy1_obs, 0.0, rng, size=3)
         np.testing.assert_allclose(with_noise - without, kappa, rtol=1e-12, atol=1e-15)
 
     def test_mean_over_draws_recovers_mu(self, toy1_obs):
         xhat = np.array([0.1, -0.3])
         t = 0.6
-        draws = refine(
-            np.broadcast_to(xhat, (100_000, 2)), toy1_obs, t, 1,
-            np.random.default_rng(29),
-        )
         mu = refine_mean(xhat, toy1_obs, t)
+        draws = mu + sample_kappa(toy1_obs, t, np.random.default_rng(29), size=100_000)
         se = mean_standard_errors(draws)
         assert np.all(np.abs(draws.mean(axis=0) - mu) <= 3 * se)
 
@@ -411,10 +414,8 @@ class TestJointMoments:
         t = 0.5
         xhat = np.array([0.3, 0.1])
         n = 100_000
-        draws = refine(
-            np.broadcast_to(xhat, (n, 2)), toy1_obs, t, 1, np.random.default_rng(43)
-        )
         mu = refine_mean(xhat, toy1_obs, t)
+        draws = mu + sample_kappa(toy1_obs, t, np.random.default_rng(43), size=n)
         sigma = dense_sigma_t(toy1_obs.operator, toy1_obs.noise_std, t)
         assert np.all(np.abs(draws.mean(axis=0) - mu) <= 3 * mean_standard_errors(draws))
         emp = np.cov(draws.T, ddof=1)
@@ -425,9 +426,8 @@ class TestJointMoments:
         xhat = np.array([0.3, 0.1])
         n = 100_000
         rng = np.random.default_rng(47)
-        tilde = refine(np.broadcast_to(xhat, (n, 2)), toy1_obs, t, 1, rng)
-        nxt = time_progress(tilde, t, dt, rng)
         mu = refine_mean(xhat, toy1_obs, t)
+        nxt = time_progress(mu + sample_kappa(toy1_obs, t, rng, size=n), t, dt, rng)
         sigma = dense_sigma_t(toy1_obs.operator, toy1_obs.noise_std, t)
         s = t + dt
         mean_oracle = s * mu

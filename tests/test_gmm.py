@@ -15,8 +15,8 @@ from flower_lab.gmm import (
 )
 from flower_lab.operators import (
     Circulant1DOperator,
+    DenseOperator,
     MaskOperator,
-    RowVectorOperator,
     ScaledIdentityOperator,
 )
 
@@ -219,7 +219,7 @@ class TestPosterior:
         cov = (q * np.logspace(-3, 0, d)) @ q.T
         means = 0.1 * rng.standard_normal((3, d))
         prior = GaussianMixture([0.6, 0.3, 0.1], means, 0.5 * (cov + cov.T))
-        op = Circulant1DOperator(blur_kernel(d)) if d > 2 else RowVectorOperator([1.5, 1.5])
+        op = Circulant1DOperator(blur_kernel(d)) if d > 2 else DenseOperator([[1.5, 1.5]])
         y = op.apply(prior.sample(rng, 1)[0]) + 0.05 * rng.standard_normal(op.out_dim)
         post = posterior_linear_gaussian(prior, LinearGaussianObservation(op, 0.05, y))
         weights, means_post, cov_post = posterior_by_scipy_cholesky(

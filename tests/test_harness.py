@@ -10,6 +10,7 @@ from flower_lab import cli, flower
 from flower_lab.cli import fmt_float, main
 from flower_lab.config import ConfigError, load_config
 from flower_lab.mlp import Mlp, load_checkpoint, save_checkpoint
+from flower_lab.operators import DenseOperator
 
 from conftest import MINI_TOY
 
@@ -104,10 +105,21 @@ class TestConfigErrors:
             ("gamma", "gamma = 1", "gamma = True"),
             ("noise_std", "[solver]", "[solver]\nnoise_std = True"),
             ("seed", "seed = 5", "seed = False"),
+            ("weights", "weights = [0.3333333333333333, 0.3333333333333333, 0.3333333333333333]",
+             "weights = [True, 0, 0]"),
+            ("means", "[0.25, -0.25]]", "[0.25, False]]"),
+            ("covariance", "covariance = 0.0625", "covariance = True"),
+            ("h", "h = [1.5, 1.5]", "h = [True, 1.5]"),
+            ("y", "y = [1.0]", "y = [True]"),
+            ("matrix", "operator = row_vector\nh = [1.5, 1.5]",
+             "operator = dense\nmatrix = [[1.5, False]]"),
+            ("kernel", "row_vector\nh = [1.5, 1.5]\nnoise_std = 0.25\ny = [1.0]",
+             "circulant1d\nkernel = [True, 0.5]\nnoise_std = 0.25\ny = [1.0, 1.0]"),
+            ("kept", "operator = row_vector\nh = [1.5, 1.5]", "operator = mask\ndim = 2\nkept = [True]"),
         ],
     )
     def test_booleans_are_not_numbers(self, tmp_path, key, old, new):
-        """True parses as a Python literal, but it is no step count, gamma or noise level."""
+        """True parses as a Python literal, but it is no step count, noise level or array entry."""
         path = tmp_path / "bool.cfg"
         path.write_text(MINI_TOY.replace(old, new))
         with pytest.raises(ConfigError, match=key):
@@ -136,6 +148,61 @@ class TestConfigErrors:
         code = main(["train", "--config", str(path), "--out", str(out), "--quiet"])
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
+
+    def test_mask_indices_are_integers(self, tmp_path):
+        """A fractional index would be truncated to a coordinate nobody asked for."""
+        path = tmp_path / "mask.cfg"
+        path.write_text(MINI_TOY.replace(
+            "operator = row_vector\nh = [1.5, 1.5]", "operator = mask\ndim = 2\nkept = [2.7]"
+        ))
+        with pytest.raises(ConfigError, match=r"\[observation\] kept indices must be integers"):
+            load_config(path)
+
+    def test_row_vector_is_a_one_row_dense_matrix(self, mini_config):
+        op = load_config(mini_config).observation.operator
+        assert type(op) is DenseOperator
+        np.testing.assert_array_equal(op.matrix, [[1.5, 1.5]])
+
+    @pytest.mark.parametrize("h", ["1.5", "[[1.5, 1.5]]"])
+    def test_row_vector_h_is_a_flat_list(self, tmp_path, h):
+        path = tmp_path / "h.cfg"
+        path.write_text(MINI_TOY.replace("h = [1.5, 1.5]", f"h = {h}"))
+        with pytest.raises(ConfigError, match=r"\[observation\] h must be 1-D"):
+            load_config(path)
+
+    @pytest.mark.parametrize("verb", ["train", "solve", "posterior-exact", "sample-prior", "invariants"])
+    def test_negative_seed_option_exits_2(self, mini_config, tmp_path, capsys, verb):
+        """numpy rejects a negative seed with a traceback; it is the caller's input."""
+        out = tmp_path / "out"
+        argv = [verb, "--seed", "-1", "--quiet"]
+        if verb != "invariants":
+            argv += ["--config", str(mini_config), "--out", str(out)]
+        assert main(argv) == cli.EXIT_CONFIG
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["train", "solve", "posterior-exact", "sample-prior"])
+    @pytest.mark.parametrize("section, old", [("solver", "seed = 5"), ("train", "seed = 3")])
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys, verb, section, old):
+        path = tmp_path / "seed.cfg"
+        path.write_text(MINI_TOY.replace(old, "seed = -7"))
+        with pytest.raises(ConfigError, match=rf"\[{section}\] seed must be >= 0, got -7"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+        assert f"[{section}] seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["train", "solve", "posterior-exact", "sample-prior"])
+    def test_output_path_under_a_file_exits_2(self, mini_config, tmp_path, capsys, verb):
+        taken = tmp_path / "taken"
+        taken.write_text("an earlier run's file\n")
+        for out in (taken, taken / "sub"):
+            argv = [verb, "--config", str(mini_config), "--out", str(out), "--quiet"]
+            assert main(argv) == cli.EXIT_CONFIG
+            assert f"output directory {out} is a file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["mini.cfg", "taken"]
+        assert taken.read_text() == "an earlier run's file\n"
 
     def test_checkpoint_must_exist_for_mlp_field(self, tmp_path):
         text = MINI_TOY.replace(

@@ -25,7 +25,12 @@ from flower_lab.flower import (
     time_progress,
 )
 from flower_lab.gmm import GaussianMixture, LinearGaussianObservation
-from flower_lab.operators import Circulant1DOperator, LinearOperator, MaskOperator
+from flower_lab.operators import (
+    Circulant1DOperator,
+    DenseOperator,
+    LinearOperator,
+    MaskOperator,
+)
 
 from conftest import blur_kernel
 
@@ -57,6 +62,11 @@ def every_third(d):
     return MaskOperator(range(0, d, 3), d)
 
 
+def single_row(d):
+    """One scalar measurement, as in the toy configs."""
+    return DenseOperator([np.full(d, 1.5)])
+
+
 def problem(make_operator, seed, d=128):
     """A two-mode prior on R^d observed through make_operator(d) at noise 0.05."""
     rng = np.random.default_rng(seed)
@@ -66,7 +76,7 @@ def problem(make_operator, seed, d=128):
     return AnalyticGmmField(prior), LinearGaussianObservation(op, 0.05, y)
 
 
-@pytest.mark.parametrize("make_operator", [circulant, every_third])
+@pytest.mark.parametrize("make_operator", [circulant, every_third, single_row])
 def test_wrapped_operator_gives_byte_identical_samples(make_operator):
     field, obs = problem(make_operator, 17)
     cfg = FlowerConfig(n_steps=20, gamma=1, noise_std=0.05, seed=4)

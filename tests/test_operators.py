@@ -8,10 +8,8 @@ from flower_lab.operators import (
     Circulant1DOperator,
     DenseOperator,
     MaskOperator,
-    RowVectorOperator,
     ScaledIdentityOperator,
     SpdSolveError,
-    SpdSolveOptions,
     solve_spd,
 )
 
@@ -20,7 +18,7 @@ def make_variants(rng, d=6):
     """One instance of each operator variant on R^d."""
     return [
         DenseOperator(rng.standard_normal((4, d))),
-        RowVectorOperator(rng.standard_normal(d)),
+        DenseOperator([rng.standard_normal(d)]),
         MaskOperator([0, 2, d - 1], dim=d),
         Circulant1DOperator(rng.standard_normal(d)),
         ScaledIdentityOperator(1.7, dim=d),
@@ -33,7 +31,7 @@ class TestApply:
         np.testing.assert_array_equal(op.apply([3.0, 4.0]), [3.0, 4.0])
 
     def test_row_vector_symmetry_cancellation(self):
-        op = RowVectorOperator([1.5, 1.5])
+        op = DenseOperator([[1.5, 1.5]])
         np.testing.assert_array_equal(op.apply([1.0, -1.0]), [0.0])
 
     def test_mask_selects_kept_indices(self):
@@ -58,7 +56,7 @@ class TestApply:
 
 class TestAdjoint:
     def test_row_vector_scalar_times_vector(self):
-        op = RowVectorOperator([1.5, 1.5])
+        op = DenseOperator([[1.5, 1.5]])
         np.testing.assert_array_equal(op.apply_adjoint([2.0]), [3.0, 3.0])
 
     def test_mask_zero_fills(self):
@@ -101,7 +99,7 @@ class TestGram:
     def test_row_vector_matches_dense_gram(self):
         rng = np.random.default_rng(13)
         h = rng.standard_normal(5)
-        op = RowVectorOperator(h)
+        op = DenseOperator([h])
         dense_gram = np.outer(h, h)
         x = rng.standard_normal(5)
         np.testing.assert_allclose(op.gram_apply(x), dense_gram @ x, rtol=1e-13)
@@ -178,7 +176,7 @@ class TestSolveSpd:
             spd = (q * eigs) @ q.T
             x_true = rng.standard_normal(10)
             b = spd @ x_true
-            x = solve_spd(lambda v: spd @ v, b, SpdSolveOptions(rel_tolerance=1e-12))
+            x = solve_spd(lambda v: spd @ v, b, rel_tolerance=1e-12)
             assert np.linalg.norm(x - x_true) <= 1e-8 * np.linalg.norm(x_true) * 10
 
     def test_nonconvergence_raises_with_residual(self):
@@ -186,9 +184,10 @@ class TestSolveSpd:
         a = rng.standard_normal((30, 30))
         spd = a @ a.T + 1e-9 * np.eye(30)
         b = rng.standard_normal(30)
-        with pytest.raises(SpdSolveError) as err:
-            solve_spd(lambda v: spd @ v, b, SpdSolveOptions(max_iterations=2))
-        assert err.value.residual > 0
+        # no float64 residual meets 1e-30, so CG runs out its 10*d iterations
+        with pytest.raises(SpdSolveError, match="stalled") as err:
+            solve_spd(lambda v: spd @ v, b, rel_tolerance=1e-30)
+        assert err.value.residual > 0 and err.value.iterations == 300
         # a non-symmetric matrix is outside CG's contract: it must not pass as solved
         with pytest.raises(SpdSolveError):
             solve_spd(lambda v: a @ v, b)
@@ -200,22 +199,30 @@ class TestSolveSpd:
             solve_spd(lambda v: np.full_like(v, value), np.ones(4))
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SpdSolveOptions(rel_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SpdSolveOptions(max_iterations=0)
+        for tolerance in (0.0, -1e-10, np.nan):
+            with pytest.raises(ValueError, match="rel_tolerance"):
+                solve_spd(lambda v: v, np.ones(2), rel_tolerance=tolerance)
 
 
 class TestConstruction:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            RowVectorOperator([1.0, np.nan])
+            Circulant1DOperator([1.0, np.nan])
         with pytest.raises(ValueError):
             DenseOperator([[np.inf, 0.0]])
 
     def test_mask_bounds(self):
         with pytest.raises(ValueError):
             MaskOperator({3}, dim=3)
+
+    @pytest.mark.parametrize("kept", [[0, 2.7], [0, 2.0], [True, 2], [np.bool_(True)], 3])
+    def test_mask_indices_must_be_integers(self, kept):
+        with pytest.raises(ValueError, match="integers"):
+            MaskOperator(kept, dim=4)
+
+    def test_mask_accepts_numpy_integers_and_ranges(self):
+        for kept in (np.array([0, 2]), [np.int32(0), np.int64(2)], range(0, 4, 2)):
+            np.testing.assert_array_equal(MaskOperator(kept, dim=4).kept, [0, 2])
 
     def test_empty_mask_is_zero_operator(self):
         op = MaskOperator(set(), dim=3)
