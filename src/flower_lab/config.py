@@ -28,6 +28,9 @@ from .operators import (
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
+# the largest exact-OT batch: its float64 cost matrix is then 512 MiB
+_OT_MAX_BATCH = 8192
+
 
 class ConfigError(ValueError):
     """A config file is missing, malformed or inconsistent."""
@@ -225,6 +228,13 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
             )
         except ValueError as exc:
             raise ConfigError(f"{path}: [train] {exc}") from exc
+        if coupling_name == "minibatch_ot" and train.batch_size > _OT_MAX_BATCH:
+            mib = train.batch_size**2 * 8 / 2**20
+            raise ConfigError(
+                f"{path}: [train] batch_size = {train.batch_size} with coupling = "
+                f"minibatch_ot needs a {mib:,.1f} MiB cost matrix; exact OT allows "
+                f"at most {_OT_MAX_BATCH}"
+            )
     if train is not None and seed_override is not None:
         train = replace(train, seed=int(seed_override))
     if field_kind == "train" and train is None:

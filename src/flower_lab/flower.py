@@ -128,7 +128,14 @@ def _prox_solve(obs: LinearGaussianObservation, rhs: np.ndarray, t: float) -> np
         if rhs.ndim == 1:
             return solve_spd(matvec, rhs, 1e-12)
         return np.stack([solve_spd(matvec, row, 1e-12) for row in rhs])
-    return ((rhs @ u) / (inv_nu2 + inv_s2 * lam)) @ u.T
+    z = rhs @ u
+    scale = inv_nu2 + inv_s2 * lam
+    # divided flat by the tiled scale, since a (d,) scale broadcast over
+    # (n, d) takes numpy's row-by-row short-axis path at small d; the
+    # divisions, and so the bits, are the same
+    flat = z.reshape(-1)
+    np.divide(flat, np.tile(scale, flat.size // scale.size), out=flat)
+    return z @ u.T
 
 
 def destination_estimate(field: VelocityField, x_t, t: float) -> np.ndarray:

@@ -112,11 +112,23 @@ def exact_w2(a, b, max_n: int = 2048) -> float:
         raise ValueError("exact_w2 requires equal-shape sample sets")
     if a.shape[0] > max_n:
         raise ValueError(f"exact_w2 limited to n <= {max_n}")
-    sq_a = np.sum(a * a, axis=1)[:, None]
-    sq_b = np.sum(b * b, axis=1)[None, :]
-    cost = sq_a + sq_b - 2.0 * (a @ b.T)
+    cost = squared_distance_matrix(a, b)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(max(cost[rows, cols].mean(), 0.0)))
+
+
+def squared_distance_matrix(a, b):
+    """|a_i - b_j|^2 as sq_a + sq_b - 2 a b^T, broadcast in one expression."""
+    sq_a = np.sum(a * a, axis=1)[:, None]
+    sq_b = np.sum(b * b, axis=1)[None, :]
+    return sq_a + sq_b - 2.0 * (a @ b.T)
+
+
+def assignment_by_scipy(x0s, x1s):
+    """The minimum squared-distance permutation by one cold linear_sum_assignment call."""
+    x0s = np.asarray(x0s, dtype=float)
+    x1s = np.asarray(x1s, dtype=float)
+    return linear_sum_assignment(squared_distance_matrix(x0s, x1s))[1]
 
 
 def gauss_legendre_grid_2d(lim=3.0, n_nodes=400):

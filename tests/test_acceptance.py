@@ -50,6 +50,7 @@ from flower_lab.operators import (
 
 from conftest import TOY_COV, TOY_MEANS, TOY_WEIGHTS
 from oracles import (
+    assignment_by_scipy,
     conditional_mean_by_quadrature,
     covariance_standard_errors,
     mean_standard_errors,
@@ -357,6 +358,8 @@ class TestA11CouplingOptimality:
         assert report(
             "A11b", "OT cost <= independent cost (n=2048)", margin, 0.0, margin <= 0.0
         )
+        # the warm-started solve returns the permutation of one cold scipy call
+        np.testing.assert_array_equal(paired, x1[assignment_by_scipy(x0, x1)])
 
 
 class TestA12DataConsistency:

@@ -10,6 +10,7 @@ from flower_lab.flow import (
     MlpField,
     TrainConfig,
     TrainingDivergedError,
+    _squared_distances,
     cfm_loss,
     euler_sample,
     pairing_cost,
@@ -20,7 +21,11 @@ from flower_lab.gmm import GaussianMixture, conditional_mean_x1
 from flower_lab.metrics import sliced_w2
 from flower_lab.mlp import Mlp
 
-from oracles import brute_force_min_pairing_cost
+from oracles import (
+    assignment_by_scipy,
+    brute_force_min_pairing_cost,
+    squared_distance_matrix,
+)
 
 
 class ZeroField:
@@ -135,6 +140,50 @@ class TestCouplings:
             x1 = rng.standard_normal((n, 2))
             _, paired = MinibatchOTCoupling().pair(x0, x1)
             assert pairing_cost(x0, paired) <= pairing_cost(x0, x1) + 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_warm_start_equals_one_cold_scipy_call(self, d):
+        """Every level boundary: up to 128 is solved cold, 129 starts from 65."""
+        rng = np.random.default_rng(20 + d)
+        for n in (1, 2, 127, 128, 129, 255, 256, 257, 513, 1000, 2048):
+            x0 = rng.standard_normal((n, d))
+            x1 = 0.5 * rng.standard_normal((n, d)) + 0.25
+            np.testing.assert_array_equal(
+                MinibatchOTCoupling.assignment(x0, x1), assignment_by_scipy(x0, x1)
+            )
+
+    @pytest.mark.parametrize("case", ["identical", "x1_rows_equal", "duplicated", "sorted"])
+    def test_tie_heavy_batches_get_an_optimal_permutation(self, case):
+        rng = np.random.default_rng(29)
+        n = 600
+        x0 = rng.standard_normal((n, 2))
+        x1 = rng.standard_normal((n, 2))
+        if case == "identical":
+            x1 = x0.copy()
+        elif case == "x1_rows_equal":
+            x1[:] = x1[0]
+        elif case == "duplicated":
+            x0 = x0[rng.integers(0, n // 8, n)]
+            x1 = x1[rng.integers(0, n // 8, n)]
+        else:
+            x0 = x0[np.argsort(x0[:, 0])]
+            x1 = x1[np.argsort(x1[:, 0])]
+        perm = MinibatchOTCoupling.assignment(x0, x1)
+        np.testing.assert_array_equal(np.sort(perm), np.arange(n))
+        if case == "identical":
+            np.testing.assert_array_equal(perm, np.arange(n))
+        best = pairing_cost(x0, x1[assignment_by_scipy(x0, x1)])
+        assert pairing_cost(x0, x1[perm]) == pytest.approx(best, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_cost_buffer_is_the_broadcast_expression_bitwise(self, d):
+        rng = np.random.default_rng(40 + d)
+        for n in (1, 127, 128, 300):
+            x0 = rng.standard_normal((n, d))
+            x1 = rng.standard_normal((n, d))
+            np.testing.assert_array_equal(
+                _squared_distances(x0, x1), squared_distance_matrix(x0, x1)
+            )
 
     def test_batch_size_mismatch(self):
         with pytest.raises(ValueError):

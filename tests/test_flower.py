@@ -186,6 +186,22 @@ class TestRefineMean:
         oracle = np.linalg.solve(precision, rhs)
         np.testing.assert_allclose(refine_mean(xhat, obs, t), oracle, rtol=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_eigenbasis_scaling_is_the_broadcast_divide_bitwise(self, d):
+        """The prox divides by nu^-2 + s^-2 lam exactly as a (d,) broadcast would."""
+        rng = np.random.default_rng(40 + d)
+        op = DenseOperator(rng.standard_normal((max(d - 1, 1), d)))
+        s = 0.3
+        obs = LinearGaussianObservation(op, s, rng.standard_normal(op.out_dim))
+        lam, u = op.gram_eigh
+        for t in (0.0, 0.5, 0.9):
+            scale = 1.0 / nu(t) ** 2 + 1.0 / (s * s) * lam
+            for shape in ((d,), (1, d), (257, d)):
+                xhat = rng.standard_normal(shape)
+                rhs = xhat / nu(t) ** 2 + obs.data_rhs
+                broadcast = ((rhs @ u) / scale) @ u.T
+                np.testing.assert_array_equal(refine_mean(xhat, obs, t), broadcast)
+
     def test_rejects_t_one(self):
         obs = LinearGaussianObservation(ScaledIdentityOperator(1.0, 2), 0.5, [0.0, 0.0])
         with pytest.raises(ValueError):

@@ -149,6 +149,27 @@ class TestConfigErrors:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "coupling, batch, fits",
+        [("minibatch_ot", 8192, True), ("minibatch_ot", 8193, False), ("independent", 100_000, True)],
+    )
+    def test_exact_ot_batch_is_capped(self, tmp_path, capsys, coupling, batch, fits):
+        """An exact-OT batch past 8192 would need a cost matrix over 512 MiB; parsing stops it."""
+        path = tmp_path / "batch.cfg"
+        path.write_text(MINI_TOY.replace(
+            "batch_size = 64", f"coupling = {coupling}\nbatch_size = {batch}"
+        ))
+        if fits:
+            assert load_config(path).train.batch_size == batch
+            return
+        why = r"\[train\] batch_size = 8193 with coupling = minibatch_ot needs a 512.1 MiB"
+        with pytest.raises(ConfigError, match=why):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+        assert "exact OT allows at most 8192" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mask_indices_are_integers(self, tmp_path):
         """A fractional index would be truncated to a coordinate nobody asked for."""
         path = tmp_path / "mask.cfg"
