@@ -78,7 +78,8 @@ def write_samples_csv(path, samples, cfg, seed):
         _header_lines(fh, cfg, seed)
         dims = ",".join(f"dim_{j}" for j in range(samples.shape[1]))
         fh.write(f"run_id,{dims}\n")
-        for i, row in enumerate(samples):
+        # Python floats: formatting numpy scalars one by one is about 1.5x slower
+        for i, row in enumerate(samples.tolist()):
             fh.write(f"{i}," + ",".join(fmt_float(v) for v in row) + "\n")
 
 

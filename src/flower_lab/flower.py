@@ -13,9 +13,11 @@ The schedule runs k = 0..N-1, so the refinement never sees t = 1 and the
 final progression lands on t = 1 exactly, returning x1_tilde unchanged.
 
 Step 2 has two public halves, ``refine_mean`` (mu_t) and ``sample_kappa``
-(kappa_t), and both solve that system one way: a diagonal scaling in the
-eigenbasis of H^T H, factored once per operator, or matrix-free CG for an
-operator without a Gram matrix.
+(kappa_t), and both work in one basis: the eigenbasis U of H^T H, factored
+once per operator, where the system's matrix is diag(sigma) with
+sigma = nu_t^-2 + s^-2 lam.  The mean is a diagonal scaling there, and
+kappa is (xi / sqrt(sigma)) U^T for xi ~ N(0, I_d).  An operator without a
+Gram matrix falls back to matrix-free CG and the two-noise kappa draw.
 
 The step functions accept a single state ``(d,)`` or a lockstep batch
 ``(n, d)``.  ``run_batch`` is the one driver and the one place that
@@ -108,18 +110,42 @@ class FlowerRunError(RuntimeError):
         self.step = step
 
 
-def _prox_solve(obs: LinearGaussianObservation, rhs: np.ndarray, t: float) -> np.ndarray:
-    """Solve (nu_t^-2 I + s^-2 H^T H) z = rhs for a 1-D or (n, d) right-hand side.
+def _prox_basis(obs: LinearGaussianObservation, t: float):
+    """(U, sigma) with nu_t^-2 I + s^-2 H^T H = U diag(sigma) U^T, or None.
 
-    A diagonal scaling in the eigenbasis of H^T H (``gram_eigh``, factored
-    once per operator) at every t and for the whole batch; an operator
-    without a Gram matrix falls back to matrix-free CG, one row at a time.
+    U is the eigenbasis of H^T H (``gram_eigh``, factored once per
+    operator); None for an operator without a Gram matrix.
     """
-    inv_nu2 = 1.0 / nu(t) ** 2
-    inv_s2 = 1.0 / (obs.noise_std * obs.noise_std)
     try:
         lam, u = obs.operator.gram_eigh
     except NotImplementedError:
+        return None
+    return u, 1.0 / nu(t) ** 2 + 1.0 / (obs.noise_std * obs.noise_std) * lam
+
+
+def _divide_columns(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """z / scale in place, for a (d,) scale and a 1-D or (n, d) z.
+
+    Divided flat by the tiled scale, since a (d,) scale broadcast over (n, d)
+    takes numpy's row-by-row short-axis path at small d; the divisions, and
+    so the bits, are the same.
+    """
+    flat = z.reshape(-1)
+    np.divide(flat, np.tile(scale, flat.size // scale.size), out=flat)
+    return z
+
+
+def _prox_solve(obs: LinearGaussianObservation, rhs: np.ndarray, t: float) -> np.ndarray:
+    """Solve (nu_t^-2 I + s^-2 H^T H) z = rhs for a 1-D or (n, d) right-hand side.
+
+    A diagonal scaling in the prox basis at every t and for the whole batch;
+    an operator without a Gram matrix falls back to matrix-free CG, one row
+    at a time.
+    """
+    basis = _prox_basis(obs, t)
+    if basis is None:
+        inv_nu2 = 1.0 / nu(t) ** 2
+        inv_s2 = 1.0 / (obs.noise_std * obs.noise_std)
 
         def matvec(v):
             return inv_nu2 * v + inv_s2 * obs.operator.gram_apply(v)
@@ -128,14 +154,8 @@ def _prox_solve(obs: LinearGaussianObservation, rhs: np.ndarray, t: float) -> np
         if rhs.ndim == 1:
             return solve_spd(matvec, rhs, 1e-12)
         return np.stack([solve_spd(matvec, row, 1e-12) for row in rhs])
-    z = rhs @ u
-    scale = inv_nu2 + inv_s2 * lam
-    # divided flat by the tiled scale, since a (d,) scale broadcast over
-    # (n, d) takes numpy's row-by-row short-axis path at small d; the
-    # divisions, and so the bits, are the same
-    flat = z.reshape(-1)
-    np.divide(flat, np.tile(scale, flat.size // scale.size), out=flat)
-    return z @ u.T
+    u, sigma = basis
+    return _divide_columns(rhs @ u, sigma) @ u.T
 
 
 def destination_estimate(field: VelocityField, x_t, t: float) -> np.ndarray:
@@ -162,19 +182,25 @@ def sample_kappa(
     rng: np.random.Generator,
     size: int | None = None,
 ) -> np.ndarray:
-    """Draw kappa_t ~ N(0, Sigma_t) by the two-noise construction.
+    """Draw kappa_t ~ N(0, Sigma_t) in the prox basis.
 
-    Draws eps1 on the signal side and eps2 on the measurement side (in that
-    order), then applies Sigma_t to nu_t^-1 eps1 + s^-1 H^T eps2 by the
-    prox solve.
+    With Sigma_t = U diag(1/sigma) U^T, kappa_t = (xi / sqrt(sigma)) U^T for
+    xi ~ N(0, I_d): d normals per draw, no adjoint and no solve.  An operator
+    without a Gram matrix draws by the two-noise construction instead: eps1
+    on the signal side and eps2 on the measurement side (in that order), then
+    Sigma_t applied to nu_t^-1 eps1 + s^-1 H^T eps2 by a CG solve.
     """
     if t >= 1.0:
         raise ValueError("kappa is defined for t < 1 (nu_t > 0)")
     op = obs.operator
     shape = () if size is None else (size,)
-    eps1 = rng.standard_normal(shape + (op.in_dim,))
-    eps2 = rng.standard_normal(shape + (op.out_dim,))
-    return _prox_solve(obs, eps1 / nu(t) + op.apply_adjoint(eps2) / obs.noise_std, t)
+    basis = _prox_basis(obs, t)
+    if basis is None:
+        eps1 = rng.standard_normal(shape + (op.in_dim,))
+        eps2 = rng.standard_normal(shape + (op.out_dim,))
+        return _prox_solve(obs, eps1 / nu(t) + op.apply_adjoint(eps2) / obs.noise_std, t)
+    u, sigma = basis
+    return _divide_columns(rng.standard_normal(shape + (op.in_dim,)), np.sqrt(sigma)) @ u.T
 
 
 def time_progress(x1_tilde, t: float, dt: float, rng: np.random.Generator) -> np.ndarray:
@@ -234,7 +260,7 @@ def run_batch(
     """n_runs lockstep trajectories from fresh source noise to posterior draws.
 
     Rows share the operator's factorization and draw from one stream (by
-    default ``default_rng(cfg.seed)``: x0, then per step eps1 and eps2 of
+    default ``default_rng(cfg.seed)``: x0, then per step the d normals of
     the kappa draw when gamma = 1 and the progression noise), so the output
     is deterministic given (cfg.seed, n_runs).  The solver assumes
     cfg.noise_std, whatever the observation's.  Returns x1 of shape

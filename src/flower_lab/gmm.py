@@ -9,7 +9,8 @@ The reference functions work in log space wherever mixture responsibilities
 appear: component densities underflow long before the math stops being
 well-conditioned, especially near t = 1 where the path covariance shrinks
 like (1-t)^2.  The field works in Sigma's eigenbasis, factored once per
-prior, where that covariance is diagonal and the responsibilities are a
+prior (or, for Sigma = c I, in the standard basis with no factorization),
+where that covariance is diagonal and the responsibilities are a
 max-shifted softmax of one (K, d) x (d, n) product, kept component-major,
 (K, n): numpy reduces and broadcasts along a short last axis row by row, so
 with K of a few an (n, K) softmax spends most of a batch evaluation there.
@@ -45,7 +46,9 @@ class GaussianMixture:
         weights: Mixture weights, shape ``(K,)``, nonnegative, summing to 1.
         means: Component means, shape ``(K, d)``.
         covariance: Shared covariance, shape ``(d, d)``; a scalar argument
-            is expanded to an isotropic matrix.
+            is expanded to an isotropic matrix.  When the covariance is c I
+            (a scalar argument or a matrix exactly equal to one), the field
+            skips the eigenbasis: eigh would return U = I exactly.
         log_weights: ``log(weights)``, ``-inf`` for a zero weight.
     """
 
@@ -75,6 +78,11 @@ class GaussianMixture:
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance is not positive definite") from exc
         self.covariance = cov
+        diag = np.diagonal(cov)
+        # c > 0 on the diagonal and d nonzero entries: cov is exactly c I
+        self._isotropic_variance = (
+            float(diag[0]) if np.all(diag == diag[0]) and np.count_nonzero(cov) == d else None
+        )
         self._log_det = 2.0 * np.log(np.diag(self._chol)).sum()
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(self.weights)
@@ -242,9 +250,14 @@ def conditional_mean_x1(prior: GaussianMixture, x, t: float) -> np.ndarray:
     # broadcasts sweep the batch; the max-shift is still one per point (column).
     # In place, because a fresh batch-sized temporary can cost page faults when
     # the allocator has handed the heap top back between calls.
-    lam, u, means_u = prior.covariance_eigh
+    if prior._isotropic_variance is None:
+        lam, u, means_u = prior.covariance_eigh
+        z = x.reshape(-1, prior.dim) @ u
+    else:
+        # the standard basis, with the bits of U = I and a scalar lam
+        lam, u, means_u = prior._isotropic_variance, None, prior.means
+        z = x.reshape(-1, prior.dim).copy()
     s = (t * t) * lam + (1.0 - t) ** 2
-    z = x.reshape(-1, prior.dim) @ u
     c = means_u * (t / s)
     resp = c @ z.T
     resp += (prior.log_weights - (0.5 * t) * np.sum(means_u * c, axis=-1))[:, None]
@@ -253,7 +266,7 @@ def conditional_mean_x1(prior: GaussianMixture, x, t: float) -> np.ndarray:
     resp /= resp.sum(axis=0)
     z *= t * lam / s
     z += resp.T @ (means_u * ((1.0 - t) ** 2 / s))
-    return (z @ u.T).reshape(x.shape)
+    return (z if u is None else z @ u.T).reshape(x.shape)
 
 
 def analytic_velocity(prior: GaussianMixture, x, t: float) -> np.ndarray:

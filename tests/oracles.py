@@ -62,6 +62,28 @@ def conditional_mean_by_cholesky(weights, means, cov, x, t):
     return np.sum(resp[..., None] * comp_means, axis=-2)
 
 
+def conditional_mean_in_eigenbasis(prior, x, t):
+    """E[X1 | Xt = x] by the field's full-covariance formula, operation by operation.
+
+    Works in the prior's cached eigenbasis (z = x U, two products with U)
+    for every covariance, isotropic ones included, so an isotropic prior's
+    shortcut can be compared with it bit for bit.
+    """
+    lam, u, means_u = prior.covariance_eigh
+    x = np.asarray(x, dtype=float)
+    s = (t * t) * lam + (1.0 - t) ** 2
+    z = x.reshape(-1, prior.dim) @ u
+    c = means_u * (t / s)
+    resp = c @ z.T
+    resp += (prior.log_weights - (0.5 * t) * np.sum(means_u * c, axis=-1))[:, None]
+    resp -= resp.max(axis=0)
+    np.exp(resp, out=resp)
+    resp /= resp.sum(axis=0)
+    z *= t * lam / s
+    z += resp.T @ (means_u * ((1.0 - t) ** 2 / s))
+    return (z @ u.T).reshape(x.shape)
+
+
 def posterior_by_scipy_cholesky(weights, means, cov, h_dense, noise_std, y):
     """Exact GMM posterior (weights, means, covariance) under y = Hx + noise.
 

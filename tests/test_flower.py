@@ -76,6 +76,7 @@ class GramCountingOperator(DenseOperator):
         super().__init__(matrix)
         self.gram_calls = 0
         self.adjoint_calls = 0
+        self.gram_apply_calls = 0
 
     def gram_matrix(self):
         self.gram_calls += 1
@@ -84,6 +85,22 @@ class GramCountingOperator(DenseOperator):
     def apply_adjoint(self, u):
         self.adjoint_calls += 1
         return super().apply_adjoint(u)
+
+    def gram_apply(self, x):
+        self.gram_apply_calls += 1
+        return super().gram_apply(x)
+
+
+class QueuedDraws:
+    """Stands in for a Generator: each standard_normal call returns the next queued array."""
+
+    def __init__(self, *arrays):
+        self._arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        arr = self._arrays.pop(0)
+        assert arr.shape == shape
+        return arr
 
 
 class TestNu:
@@ -254,6 +271,53 @@ class TestSampleKappa:
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
 
+    @pytest.mark.parametrize("size", [None, 1, 7])
+    def test_draws_d_normals_per_row_in_the_prox_basis(self, size):
+        """The generator ends where one that drew size * d normals ends, whatever m is.
+
+        kappa is (xi / sqrt(sigma)) U^T for those normals xi, with U and lam
+        from gram_eigh and sigma = nu_t^-2 + s^-2 lam.
+        """
+        rng = np.random.default_rng(59)
+        d, s, t = 3, 0.3, 0.4
+        operators = [
+            DenseOperator(rng.standard_normal((5, d))),
+            DenseOperator(rng.standard_normal((1, d))),
+            MaskOperator([0, 2], d),
+            Circulant1DOperator(blur_kernel(d)),
+            ScaledIdentityOperator(0.5, d),
+        ]
+        shape = (d,) if size is None else (size, d)
+        for op in operators:
+            obs = LinearGaussianObservation(op, s, np.zeros(op.out_dim))
+            drawn, ref = np.random.default_rng(61), np.random.default_rng(61)
+            kappa = sample_kappa(obs, t, drawn, size)
+            xi = ref.standard_normal(shape)
+            assert drawn.bit_generator.state == ref.bit_generator.state
+            lam, u = op.gram_eigh
+            sigma = 1 / nu(t) ** 2 + lam / s**2
+            expected = (xi / np.sqrt(sigma)) @ u.T
+            np.testing.assert_allclose(kappa, expected, rtol=1e-12, atol=1e-15)
+
+    def test_no_adjoint_gram_apply_or_prox_solve(self, monkeypatch):
+        """A kappa draw uses the cached eigenbasis alone: one gram_matrix for twenty draws."""
+        prox_solves = []
+
+        def counting_prox_solve(*args):
+            prox_solves.append(args)
+            return prox_solve(*args)
+
+        prox_solve = flower._prox_solve
+        monkeypatch.setattr(flower, "_prox_solve", counting_prox_solve)
+        rng = np.random.default_rng(63)
+        op = GramCountingOperator(rng.standard_normal((40, 65)))
+        obs = LinearGaussianObservation(op, 0.3, rng.standard_normal(40))
+        for k in range(10):
+            sample_kappa(obs, k / 10, rng, size=4)
+            sample_kappa(obs, k / 10, rng)
+        assert (op.gram_calls, op.adjoint_calls, op.gram_apply_calls) == (1, 0, 0)
+        assert prox_solves == []
+
 
 class TestProxHighDimension:
     """The prox past d = 64, against dense oracles and the CG fallback."""
@@ -272,7 +336,7 @@ class TestProxHighDimension:
                 np.testing.assert_allclose(refine_mean(xhat[0], obs, t), oracle[0], rtol=1e-8)
                 np.testing.assert_allclose(refine_mean(xhat, obs, t), oracle, rtol=1e-8)
 
-    @pytest.mark.parametrize("d", [65, 128])
+    @pytest.mark.parametrize("d", [2, 16, 65, 128])
     def test_kappa_covariance_matches_inverse_precision(self, d):
         """The sample covariance of kappa is inv(precision), entry by entry once whitened.
 
@@ -282,10 +346,18 @@ class TestProxHighDimension:
         mean 0, so entry (i, j) of the whitened W^T W / n has standard error
         sqrt((1 + [i == j]) / n); every entry must lie within 5.5 of them:
         by the union bound over the d(d+1)/2 entries, a correct sampler fails
-        with probability below 3.2e-4 (d = 128).
+        with probability below 3.2e-4 per operator (d = 128).  The operators
+        cover a near-singular H^T H (circulant), exact zero eigenvalues (a
+        mask, a one-row and a rank d / 2 dense operator) and a scaled identity.
         """
         n, t, s = 20_000, 0.5, 0.05
-        for op in high_dimensional_operators(d):
+        rng = np.random.default_rng(3000 + d)
+        operators = high_dimensional_operators(d) + [
+            MaskOperator(range(0, d, 2), d),
+            DenseOperator(rng.standard_normal((1, d))),
+            ScaledIdentityOperator(0.7, d),
+        ]
+        for op in operators:
             obs = LinearGaussianObservation(op, s, np.zeros(op.out_dim))
             draws = sample_kappa(obs, t, np.random.default_rng(2000 + d), size=n)
             white = draws @ np.linalg.cholesky(dense_precision(op, s, t))
@@ -294,7 +366,13 @@ class TestProxHighDimension:
             assert np.max(z) <= 5.5, type(op).__name__
 
     def test_matrix_free_operator_falls_back_to_cg(self, monkeypatch):
-        """No gram_matrix: every solve is a CG solve, equal to the eigenbasis path to 1e-8."""
+        """No gram_matrix: every solve is a CG solve, and kappa keeps the dense law.
+
+        Means equal the eigenbasis path to 1e-8.  Without a basis, kappa is the
+        two-noise construction, linear in its d + m normals: fed the unit
+        vectors, it returns the rows of a square root R of its covariance, and
+        R^T R times the dense precision must be I to 1e-8.
+        """
         rng = np.random.default_rng(3)
         d, m, s = 65, 40, 0.3
         a = rng.standard_normal((m, d)) / np.sqrt(d)
@@ -316,13 +394,15 @@ class TestProxHighDimension:
                 np.testing.assert_allclose(
                     refine_mean(x, free, t), refine_mean(x, dense, t), rtol=1e-8
                 )
-            np.testing.assert_allclose(
-                sample_kappa(free, t, np.random.default_rng(5), size=3),
-                sample_kappa(dense, t, np.random.default_rng(5), size=3),
-                rtol=1e-8,
-            )
+            kappa = sample_kappa(free, t, np.random.default_rng(5), size=3)
+            assert kappa.shape == (3, d) and np.all(np.isfinite(kappa))
         # per t: one single-row mean, three batched mean rows, three kappa rows
         assert len(cg_solves) == 3 * 7
+        unit = np.eye(d + m)
+        for t in (0.0, 0.5, 0.9):
+            root = sample_kappa(free, t, QueuedDraws(unit[:, :d], unit[:, d:]), size=d + m)
+            precision = dense_precision(dense.operator, s, t)
+            np.testing.assert_allclose(root.T @ root @ precision, np.eye(d), rtol=0, atol=1e-8)
 
     def test_factors_once_per_operator(self):
         rng = np.random.default_rng(9)

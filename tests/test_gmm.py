@@ -22,6 +22,7 @@ from flower_lab.operators import (
 
 from oracles import (
     conditional_mean_by_cholesky,
+    conditional_mean_in_eigenbasis,
     conditional_mean_by_quadrature,
     covariance_standard_errors,
     mean_standard_errors,
@@ -383,6 +384,58 @@ class TestConditionalMean:
             single = conditional_mean_x1(prior, x, t)
             assert single.shape == (65,)
             assert np.array_equal(single, conditional_mean_x1(prior, x[None], t)[0])
+
+
+class TestIsotropicField:
+    """A c I covariance skips the eigenbasis with the bits of U = I."""
+
+    @pytest.mark.parametrize("d", [2, 16, 32, 1024])
+    def test_bit_identical_to_the_eigenbasis_formula(self, d):
+        rng = np.random.default_rng(80 + d)
+        means = rng.standard_normal((3, d))
+        x = rng.standard_normal((64, d))
+        ts = (0.0, 0.3, 0.9, 1 - 1e-9)
+        for c in (0.15**2, 2.5):
+            for cov in (c, c * np.eye(d)):
+                prior = GaussianMixture([0.5, 0.3, 0.2], means, cov)
+                got = [conditional_mean_x1(prior, x, t) for t in ts]
+                got.append(conditional_mean_x1(prior, x[0], 0.3))
+                assert "covariance_eigh" not in vars(prior)
+                lam, u, _ = prior.covariance_eigh
+                assert np.array_equal(u, np.eye(d)) and np.all(lam == c)
+                want = [conditional_mean_in_eigenbasis(prior, x, t) for t in ts]
+                want.append(conditional_mean_in_eigenbasis(prior, x[0], 0.3))
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 65, 128])
+    def test_matches_cholesky_reference(self, d):
+        rng = np.random.default_rng(90 + d)
+        means = rng.standard_normal((3, d))
+        for cov in (0.15**2, 1.7 * np.eye(d)):
+            prior = GaussianMixture([0.6, 0.3, 0.1], means, cov)
+            for t in (0.0, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9):
+                x = (1 - t) * rng.standard_normal((30, d)) + t * prior.sample(rng, 30)
+                oracle = conditional_mean_by_cholesky(
+                    prior.weights, prior.means, prior.covariance, x, t
+                )
+                np.testing.assert_allclose(
+                    conditional_mean_x1(prior, x, t), oracle, rtol=0, atol=1e-9
+                )
+            assert "covariance_eigh" not in vars(prior)
+
+    def test_other_covariances_go_through_the_eigenbasis(self):
+        d = 16
+        rng = np.random.default_rng(97)
+        near_isotropic = 0.5 * np.eye(d)
+        near_isotropic[0, 1] = near_isotropic[1, 0] = 1e-14
+        unequal_diagonal = np.diag(np.linspace(0.5, 1.5, d))
+        for cov in (ill_conditioned_prior(d, rng).covariance, near_isotropic, unequal_diagonal):
+            prior = GaussianMixture([0.6, 0.3, 0.1], rng.standard_normal((3, d)), cov)
+            x = rng.standard_normal((20, d))
+            got = conditional_mean_x1(prior, x, 0.5)
+            assert "covariance_eigh" in vars(prior)
+            assert got.tobytes() == conditional_mean_in_eigenbasis(prior, x, 0.5).tobytes()
 
 
 class TestHighDimensionRobustness:

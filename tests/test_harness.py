@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +42,22 @@ class TestFloatFormat:
         for x in (1.0, -3.0, 0.5, 1e30, 7.0):
             s = fmt_float(x)
             assert "." in s or "e" in s
+
+    def test_samples_csv_formats_as_per_numpy_scalar(self, tmp_path):
+        """The samples file holds fmt_float of each numpy scalar, byte for byte."""
+        special = np.array([[-0.0, 1.0], [123456.0, 1e20], [5e-324, -2.5e-7]])
+        samples = np.vstack([special, np.random.default_rng(2).standard_normal((200, 2))])
+        cfg = SimpleNamespace(sha256="ab" * 32)
+        cli.write_samples_csv(tmp_path / "samples.csv", samples, cfg, 7)
+        rows = [f"{i}," + ",".join(fmt_float(v) for v in row) for i, row in enumerate(samples)]
+        header = [f"# config_sha256={cfg.sha256}", "# seed=7", "run_id,dim_0,dim_1"]
+        expected = "\n".join(header + rows) + "\n"
+        assert (tmp_path / "samples.csv").read_bytes() == expected.encode()
+        assert rows[:3] == [
+            "0,-0.0,1.0",
+            "1,123456.0,1e+20",
+            "2,4.9406564584124654e-324,-2.4999999999999999e-07",
+        ]
 
 
 class TestBundledConfigs:
