@@ -1,10 +1,12 @@
 """Declarative experiment configs: one INI-style file per experiment.
 
 Sections describe the prior, the measurement, the velocity field, the
-solver and the outputs; array values use Python literal syntax.  Parsing
-builds real objects (mixtures, operators, observations) and validates all
-cross-section dimension constraints up front, so a config that parses is a
-config that runs.
+solver and the outputs; array values use Python literal syntax.  The
+[train] and [solver] keys are ``TrainConfig``'s and ``FlowerConfig``'s
+fields, read by field type, with the dataclass defaults for keys left out.
+Parsing builds real objects (mixtures, operators, observations) and
+validates all cross-section dimension constraints up front, and a key or
+section nothing reads is an error, so a config that parses runs as written.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import ast
 import configparser
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .flow import IndependentCoupling, MinibatchOTCoupling, TrainConfig
@@ -71,16 +73,22 @@ class _Section:
         self.cfg_path = cfg_path
         self.name = name
         self.mapping = mapping
+        self.unread = dict.fromkeys(mapping)
 
     def _fail(self, key, why):
         raise ConfigError(f"{self.cfg_path}: [{self.name}] {key}: {why}")
 
+    def _text(self, key, required):
+        """The raw text of key, which now counts as read; None if it is absent."""
+        self.unread.pop(key, None)
+        if required and key not in self.mapping:
+            self._fail(key, "missing required key")
+        return self.mapping.get(key)
+
     def literal(self, key, default=None, required=False):
-        if key not in self.mapping:
-            if required:
-                self._fail(key, "missing required key")
+        text = self._text(key, required)
+        if text is None:
             return default
-        text = self.mapping[key]
         try:
             return ast.literal_eval(text)
         except (ValueError, SyntaxError):
@@ -106,21 +114,28 @@ class _Section:
         return val
 
     def flag(self, key, default=False):
-        if key not in self.mapping:
-            return default
-        text = self.mapping[key].strip().lower()
-        if text in ("true", "yes", "1", "on"):
-            return True
-        if text in ("false", "no", "0", "off"):
-            return False
-        self._fail(key, f"expected a boolean, got {text!r}")
+        text = self.string(key, default=str(default)).lower()
+        if text not in configparser.ConfigParser.BOOLEAN_STATES:
+            self._fail(key, f"expected a boolean, got {text!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[text]
 
     def string(self, key, default=None, required=False):
-        if key not in self.mapping:
-            if required:
-                self._fail(key, "missing required key")
-            return default
-        return self.mapping[key].strip()
+        text = self._text(key, required)
+        return default if text is None else text.strip()
+
+
+def _build(cls, sec: _Section, reseed: dict, **given):
+    """A cls from the fields sec sets, read by type, then ``reseed`` and ``given``."""
+    read = {"int": sec.integer, "float": sec.number, "str": sec.string, "tuple": sec.literal}
+    values = {
+        f.name: read[f.type](f.name, required=True)
+        for f in fields(cls)
+        if f.name not in given and (f.name in sec.mapping or f.default is MISSING)
+    }
+    try:
+        return cls(**{**values, **reseed}, **given)
+    except ValueError as exc:
+        raise ConfigError(f"{sec.cfg_path}: [{sec.name}] {exc}") from exc
 
 
 def _build_operator(sec: _Section):
@@ -143,10 +158,12 @@ def _build_operator(sec: _Section):
 def load_config(path, seed_override: int | None = None, out_override=None) -> ExperimentConfig:
     """Parse and validate an experiment config file.
 
-    ``seed_override`` replaces the solver seed and the [train] seed, if any.
+    ``seed_override`` replaces the solver seed and the [train] seed, if any;
+    ``out_override``, relative to the working directory, the output directory.
 
     Raises:
-        ConfigError: the file is missing or any section is invalid.
+        ConfigError: the file is missing, any section is invalid, or a key
+            or section is one that nothing reads.
     """
     path = Path(path)
     if not path.is_file():
@@ -160,13 +177,18 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
         parser.read_string(raw_bytes.decode())
     except (UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    for key in parser.defaults():
+        raise ConfigError(f"{path}: [DEFAULT] {key}: unknown key (copied into every section)")
+    sections = {}
+    reseed = {} if seed_override is None else {"seed": int(seed_override)}
 
     def section(name, required=True):
         if not parser.has_section(name):
             if required:
                 raise ConfigError(f"{path}: missing [{name}] section")
             return None
-        return _Section(path, name, dict(parser.items(name)))
+        sections[name] = _Section(path, name, dict(parser.items(name)))
+        return sections[name]
 
     prior_sec = section("prior")
     arrays = [prior_sec.array(key) for key in ("weights", "means", "covariance")]
@@ -199,9 +221,7 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
         raise ConfigError(f"{path}: [field] unknown kind {field_kind!r}")
     checkpoint = None
     if field_kind == "mlp":
-        checkpoint = Path(field_sec.string("checkpoint", required=True))
-        if not checkpoint.is_absolute():
-            checkpoint = path.parent / checkpoint
+        checkpoint = path.parent / field_sec.string("checkpoint", required=True)
         if not checkpoint.is_file():
             raise ConfigError(f"{path}: [field] checkpoint not found: {checkpoint}")
 
@@ -214,20 +234,7 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
             raise ConfigError(
                 f"{path}: [train] unknown coupling {coupling_name!r}"
             )
-        try:
-            train = TrainConfig(
-                batch_size=train_sec.integer("batch_size", default=2048),
-                steps=train_sec.integer("steps", default=20000),
-                learning_rate=train_sec.number("learning_rate", default=1e-3),
-                beta1=train_sec.number("beta1", default=0.9),
-                beta2=train_sec.number("beta2", default=0.999),
-                epsilon=train_sec.number("epsilon", default=1e-8),
-                seed=train_sec.integer("seed", default=0),
-                hidden_sizes=train_sec.literal("hidden_sizes", default=(256, 256)),
-                dtype=train_sec.string("dtype", default="float32"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [train] {exc}") from exc
+        train = _build(TrainConfig, train_sec, reseed)
         if coupling_name == "minibatch_ot" and train.batch_size > _OT_MAX_BATCH:
             mib = train.batch_size**2 * 8 / 2**20
             raise ConfigError(
@@ -235,51 +242,47 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
                 f"minibatch_ot needs a {mib:,.1f} MiB cost matrix; exact OT allows "
                 f"at most {_OT_MAX_BATCH}"
             )
-    if train is not None and seed_override is not None:
-        train = replace(train, seed=int(seed_override))
     if field_kind == "train" and train is None:
         raise ConfigError(f"{path}: field kind 'train' requires a [train] section")
 
     solver_sec = section("solver")
+    noise_std = solver_sec.number("noise_std", default=observation.noise_std)
     try:
-        solver = FlowerConfig(
-            n_steps=solver_sec.integer("n_steps", required=True),
-            gamma=solver_sec.integer("gamma", required=True),
-            noise_std=solver_sec.number("noise_std", default=observation.noise_std),
-            seed=solver_sec.integer("seed", default=0),
-            n_avg=solver_sec.integer("n_avg", default=1),
-        )
+        # run_batch solves with the observation at the solver's noise level
+        replace(observation, noise_std=noise_std)
     except ValueError as exc:
         raise ConfigError(f"{path}: [solver] {exc}") from exc
     n_samples = solver_sec.integer("n_samples", default=1000)
     if n_samples < 2:
         # the reported moments need a sample covariance
         raise ConfigError(f"{path}: [solver] n_samples must be >= 2")
-    if solver_sec.flag("record_trajectory", default=False):
-        # the recorded trajectories are the first rows of the sampled batch
-        n_trajectories = solver_sec.integer("n_trajectories", default=8)
-        n_runs = n_samples * solver.n_avg
-        if not 1 <= n_trajectories <= n_runs:
-            raise ConfigError(
-                f"{path}: [solver] n_trajectories must be in 1..{n_runs} "
-                f"(n_samples * n_avg), got {n_trajectories}"
-            )
-        solver = replace(solver, n_trajectories=n_trajectories)
-    if seed_override is not None:
-        solver = replace(solver, seed=int(seed_override))
+    record = solver_sec.flag("record_trajectory")
+    n_trajectories = solver_sec.integer("n_trajectories", default=8)
+    n_traj = n_trajectories if record else 0  # FlowerConfig's 0 records nothing
+    solver = _build(FlowerConfig, solver_sec, reseed, noise_std=noise_std, n_trajectories=n_traj)
+    # the recorded trajectories are the first rows of the sampled batch
+    n_runs = n_samples * solver.n_avg
+    if record and not 1 <= n_trajectories <= n_runs:
+        raise ConfigError(
+            f"{path}: [solver] n_trajectories must be in 1..{n_runs} "
+            f"(n_samples * n_avg), got {n_trajectories}"
+        )
 
     base_sec = section("baselines", required=False)
     baseline_exact = base_sec.flag("exact_posterior_samples") if base_sec else False
     baseline_uncond = base_sec.flag("unconditional_samples") if base_sec else False
 
     out_sec = section("outputs")
-    out_dir = Path(out_override) if out_override else Path(
-        out_sec.string("directory", required=True)
-    )
-    if not out_dir.is_absolute():
-        out_dir = path.parent / out_dir
+    directory = out_sec.string("directory", required=not out_override)
+    out_dir = Path(out_override) if out_override else path.parent / directory
     if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
         raise ConfigError(f"{path}: output directory {out_dir} is a file or lies under one")
+
+    for name in parser.sections():
+        if name not in sections:
+            raise ConfigError(f"{path}: [{name}]: unknown section")
+        for key in sections[name].unread:
+            sections[name]._fail(key, "unknown key")
 
     return ExperimentConfig(
         path=path,

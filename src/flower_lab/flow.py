@@ -32,6 +32,10 @@ __all__ = [
 
 # the exact field has a removable singularity at t = 1; evaluation clamps here
 _T_CLAMP = 1.0 - 1e-9
+# Adam's moment decays and denominator guard, at the usual values
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 
 class VelocityField:
@@ -236,9 +240,6 @@ class TrainConfig:
     batch_size: int = 2048
     steps: int = 20000
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     hidden_sizes: tuple = (256, 256)
     # float32 keeps the full-scale run inside its time budget; checkpoints
@@ -250,10 +251,8 @@ class TrainConfig:
             raise ValueError("batch_size and steps must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.learning_rate <= 0 or self.epsilon <= 0:
-            raise ValueError("learning_rate and epsilon must be > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
         sizes = self.hidden_sizes
         if not isinstance(sizes, (tuple, list)) or not all(
             type(n) is int and n >= 1 for n in sizes
@@ -327,18 +326,18 @@ def train_cfm(target_sampler, source_sampler, coupling, cfg: TrainConfig, dim: i
         losses[step] = loss
 
         # Adam with bias correction
-        b1t = 1.0 - cfg.beta1 ** (step + 1)
-        b2t = 1.0 - cfg.beta2 ** (step + 1)
+        b1t = 1.0 - _BETA1 ** (step + 1)
+        b2t = 1.0 - _BETA2 ** (step + 1)
         scale = cfg.learning_rate / b1t
         for p, g, m, v, u in zip(params, grads, adam_m, adam_v, upd):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
             np.multiply(g, g, out=u)
-            v += (1.0 - cfg.beta2) * u
+            v += (1.0 - _BETA2) * u
             np.sqrt(v, out=u)
             u /= np.sqrt(b2t)
-            u += cfg.epsilon
+            u += _EPSILON
             np.divide(m, u, out=u)
             u *= scale
             p -= u

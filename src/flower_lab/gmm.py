@@ -169,8 +169,14 @@ class LinearGaussianObservation:
     observation: np.ndarray
 
     def __post_init__(self):
-        if not self.noise_std > 0:
-            raise ValueError("noise_std must be > 0")
+        # the prox and the posterior divide by s^2 and scale by s^-2
+        with np.errstate(over="ignore", divide="ignore"):
+            precision = 1.0 / np.square(np.float64(self.noise_std))
+        if not (self.noise_std > 0 and 0 < precision < np.inf):
+            raise ValueError(
+                f"noise_std must be finite and > 0 with a finite, nonzero "
+                f"noise_std**-2, got {self.noise_std!r}"
+            )
         y = as_vector(self.observation, dim=self.operator.out_dim, name="observation")
         y.flags.writeable = False
         object.__setattr__(self, "observation", y)

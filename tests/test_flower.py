@@ -604,6 +604,13 @@ class TestRun:
         with pytest.raises(ValueError, match="record"):
             run_batch(field, toy1_obs, cfg, 2)
 
+    @pytest.mark.parametrize("noise_std", [1e-200, 1e-160, np.inf])
+    def test_solver_noise_outside_the_float_range_fails_before_step_0(self, toy1_obs, noise_std):
+        """run_batch solves with the observation at the solver's noise, which checks it."""
+        cfg = FlowerConfig(n_steps=10, gamma=1, noise_std=noise_std, seed=1)
+        with pytest.raises(ValueError, match="noise_std must be finite and > 0"):
+            run_batch(FailsAtStep(0, 10), toy1_obs, cfg, 4)
+
     def test_component_errors_carry_step_index(self, toy1_obs):
         cfg = FlowerConfig(n_steps=10, gamma=0, noise_std=0.25, seed=1)
         with pytest.raises(FlowerRunError) as err:

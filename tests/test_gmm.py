@@ -70,6 +70,20 @@ class TestConstruction:
             GaussianMixture([np.inf], [[0.0, 0.0]], 1.0)
 
 
+class TestObservation:
+    @pytest.mark.parametrize("noise_std", [0.0, -0.1, np.nan, np.inf, 1e-160, 1e-200, 1e155])
+    def test_noise_square_and_its_inverse_must_be_finite_and_nonzero(self, noise_std):
+        """The prox and the posterior divide by s^2: 1e-160 squares to a subnormal whose
+        inverse overflows, 1e-200 squares to 0 and 1e155 to inf."""
+        with pytest.raises(ValueError, match="noise_std must be finite and > 0"):
+            LinearGaussianObservation(DenseOperator([[1.0]]), noise_std, [0.0])
+
+    @pytest.mark.parametrize("noise_std", [1e-150, 1e-3, 1, 1e150])
+    def test_noise_inside_the_float_range_is_kept(self, noise_std):
+        obs = LinearGaussianObservation(DenseOperator([[1.0]]), noise_std, [0.0])
+        assert np.isfinite(obs.data_rhs).all() and obs.noise_std == noise_std
+
+
 class TestLogDensity:
     def test_standard_normal_peak(self):
         g = GaussianMixture([1.0], [[0.0, 0.0]], 1.0)

@@ -1,5 +1,7 @@
 """CLI verbs, file formats, exit codes and output determinism."""
 
+import dataclasses
+import importlib.util
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,6 +18,7 @@ from flower_lab.operators import DenseOperator
 from conftest import MINI_TOY
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH_INPUTS = CONFIGS_DIR.parent / "perfbench" / "inputs.py"
 
 
 @pytest.fixture
@@ -66,6 +69,72 @@ class TestBundledConfigs:
         cfg = load_config(CONFIGS_DIR / f"{name}.cfg")
         assert cfg.observation.operator.in_dim == cfg.prior.dim
         assert cfg.solver.noise_std == cfg.observation.noise_std
+
+
+TOY1_TRAIN = dict(
+    batch_size=2048, steps=20000, learning_rate=0.001, seed=7, hidden_sizes=(256, 256),
+    dtype="float32",
+)
+SHORT_TRAIN = {**TOY1_TRAIN, "batch_size": 256, "steps": 20}
+SAMPLED = (True, False)  # exact-posterior baseline only
+# what each config loads to: [train], coupling, [solver] (n_steps, gamma, noise_std,
+# seed, n_avg, n_trajectories), n_samples, both baselines and the output directory
+LOADED = {
+    "toy1": (TOY1_TRAIN, "independent", (1000, 1, 0.25, 42, 1, 0), 5000, SAMPLED, "out/toy1"),
+    "toy2": (None, "independent", (1000, 1, 0.75, 43, 1, 0), 5000, SAMPLED, "out/toy2"),
+    "inpaint16": (None, "independent", (1000, 0, 0.001, 11, 1, 0), 64, SAMPLED, "out/inpaint16"),
+    "blur32": (None, "independent", (500, 1, 0.05, 17, 1, 0), 128, SAMPLED, "out/blur32"),
+    "mini": (
+        dict(batch_size=64, steps=40, learning_rate=0.001, seed=3, hidden_sizes=(16, 16),
+             dtype="float64"),
+        "independent", (25, 1, 0.25, 5, 1, 0), 40, (True, True), "out",
+    ),
+    "blur128": (None, "independent", (100, 1, 0.05, 1, 1, 0), 16, SAMPLED, "out/blur128"),
+    "toy1_small": (TOY1_TRAIN, "independent", (1000, 1, 0.25, 42, 1, 0), 64, SAMPLED, "out/toy1"),
+    "train_independent": (
+        SHORT_TRAIN, "independent", (1000, 1, 0.25, 42, 1, 0), 5000, SAMPLED, "out/toy1"
+    ),
+    "train_minibatch_ot": (
+        SHORT_TRAIN, "minibatch_ot", (1000, 1, 0.25, 42, 1, 0), 5000, SAMPLED, "out/toy1"
+    ),
+}
+
+
+def config_file(name, directory):
+    """A shipped config, the tests' MINI_TOY, or one the benchmark writes from its seed."""
+    if name in ("toy1", "toy2", "inpaint16", "blur32"):
+        return CONFIGS_DIR / f"{name}.cfg"
+    path = directory / f"{name}.cfg"
+    if name == "mini":
+        path.write_text(MINI_TOY)
+        return path
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    toy1 = CONFIGS_DIR / "toy1.cfg"
+    if name == "blur128":
+        return inputs.blur128_config(1, path)
+    if name == "toy1_small":
+        return inputs.solver_config(toy1, path, 64)
+    return inputs.train_config(toy1, path, name.removeprefix("train_"), 20, 256)
+
+
+@pytest.mark.parametrize("name", sorted(LOADED))
+def test_configs_load_the_same_settings(name, tmp_path):
+    """Reading [train] and [solver] by field type gives each config the values it always had."""
+    path = config_file(name, tmp_path)
+    cfg = load_config(path)
+    train, coupling, solver, n_samples, baselines, out = LOADED[name]
+    assert (cfg.field_kind, cfg.checkpoint) == ("analytic", None)
+    assert (cfg.train and dataclasses.asdict(cfg.train)) == train
+    assert cfg.coupling_name == coupling
+    assert dataclasses.astuple(cfg.solver) == solver
+    assert cfg.n_samples == n_samples
+    assert (cfg.baseline_exact_posterior, cfg.baseline_unconditional) == baselines
+    assert cfg.output_dir == path.parent / out
+    reseeded = load_config(path, seed_override=9)
+    assert reseeded.solver == dataclasses.replace(cfg.solver, seed=9)
+    assert reseeded.train == (cfg.train and dataclasses.replace(cfg.train, seed=9))
 
 
 class TestConfigErrors:
@@ -242,6 +311,24 @@ class TestConfigErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["mini.cfg", "taken"]
         assert taken.read_text() == "an earlier run's file\n"
 
+    @pytest.mark.parametrize("verb", ["solve", "posterior-exact"])
+    @pytest.mark.parametrize("section", ["observation", "solver"])
+    @pytest.mark.parametrize("noise_std", ["1e-200", "1e-160", "1e400"])
+    def test_noise_whose_square_leaves_the_float_range_exits_2(
+        self, tmp_path, capsys, verb, section, noise_std
+    ):
+        """Every prox and posterior formula divides by s^2; 0 or inf there is refused up front."""
+        if section == "observation":
+            text = MINI_TOY.replace("noise_std = 0.25", f"noise_std = {noise_std}")
+        else:
+            text = MINI_TOY.replace("[solver]\n", f"[solver]\nnoise_std = {noise_std}\n")
+        path = tmp_path / "noise.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+        assert f"[{section}] noise_std must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_must_exist_for_mlp_field(self, tmp_path):
         text = MINI_TOY.replace(
             "kind = analytic", "kind = mlp\ncheckpoint = missing.flw"
@@ -250,6 +337,113 @@ class TestConfigErrors:
         path.write_text(text)
         with pytest.raises(ConfigError, match="checkpoint"):
             load_config(path)
+
+
+class TestUnreadKeys:
+    """A key or section nothing reads is a config error, not a silently ignored setting."""
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("prior", "weight = [1.0]"),
+            ("observation", "kernal = [1.0, 0.5]"),
+            ("observation", "matrix = [[1.5, 1.5]]"),
+            ("field", "checkpoint = model.flw"),
+            ("train", "beta1 = 0.9"),
+            ("train", "beta2 = 0.999"),
+            ("train", "epsilon = 1e-8"),
+            ("solver", "n_sample = 50"),
+            ("baselines", "exact_posterior_sample = true"),
+            ("outputs", "directry = elsewhere"),
+        ],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, section, line):
+        path = tmp_path / "key.cfg"
+        path.write_text(MINI_TOY.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: unknown key"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+        assert f"[{section}] {key}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_section_exits_2(self, tmp_path):
+        path = tmp_path / "section.cfg"
+        path.write_text(MINI_TOY + "\n[solvr]\nn_steps = 50\n")
+        with pytest.raises(ConfigError, match=r"\[solvr\]: unknown section"):
+            load_config(path)
+        assert main(["solve", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG
+
+    def test_default_key_is_named_as_such(self, tmp_path):
+        """configparser copies a [DEFAULT] key into every section; no section reads them all."""
+        path = tmp_path / "default.cfg"
+        path.write_text("[DEFAULT]\nseed = 9\n\n" + MINI_TOY)
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\] seed: unknown key"):
+            load_config(path)
+
+    def test_mistyped_sample_count_writes_nothing(self, tmp_path, capsys):
+        """toy2 with n_samples mistyped would otherwise write the default 1000 samples."""
+        text = (CONFIGS_DIR / "toy2.cfg").read_text()
+        path = tmp_path / "toy2.cfg"
+        path.write_text(text.replace("n_samples = 5000", "n_sample = 50"))
+        assert main(["solve", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG
+        assert "[solver] n_sample: unknown key" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["toy2.cfg"]
+
+    @pytest.mark.parametrize("record, n_trajectories", [("false", 0), ("false", 10**6), ("true", 2)])
+    def test_n_trajectories_is_read_whether_or_not_recording(
+        self, tmp_path, record, n_trajectories
+    ):
+        """toy1.cfg sets n_trajectories with recording off; only a recorded count must fit."""
+        text = MINI_TOY.replace("n_trajectories = 2", f"n_trajectories = {n_trajectories}")
+        path = tmp_path / "traj.cfg"
+        path.write_text(text.replace("record_trajectory = false", f"record_trajectory = {record}"))
+        recorded = n_trajectories if record == "true" else 0
+        assert load_config(path).solver.n_trajectories == recorded
+
+    def test_outputs_directory_is_optional_only_under_out(self, tmp_path):
+        path = tmp_path / "noout.cfg"
+        path.write_text(MINI_TOY.replace("directory = out\n", ""))
+        assert load_config(path, out_override=tmp_path / "o").output_dir == tmp_path / "o"
+        with pytest.raises(ConfigError, match=r"\[outputs\] directory: missing required key"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("yes", True), ("On", True), ("1", True), ("TRUE", True),
+         ("no", False), ("off", False), ("0", False), ("False", False)],
+    )
+    def test_flags_take_configparser_words(self, tmp_path, text, value):
+        path = tmp_path / "flag.cfg"
+        flag = f"unconditional_samples = {text}"
+        path.write_text(MINI_TOY.replace("unconditional_samples = true", flag))
+        assert load_config(path).baseline_unconditional is value
+
+    def test_flag_rejects_other_words(self, tmp_path):
+        path = tmp_path / "flag.cfg"
+        path.write_text(MINI_TOY.replace("record_trajectory = false", "record_trajectory = maybe"))
+        with pytest.raises(ConfigError, match="record_trajectory: expected a boolean, got 'maybe'"):
+            load_config(path)
+
+
+class TestPaths:
+    def test_out_is_taken_from_the_working_directory_outputs_from_the_config(
+        self, tmp_path, monkeypatch
+    ):
+        cfgdir, work = tmp_path / "cfgdir", tmp_path / "work"
+        cfgdir.mkdir()
+        work.mkdir()
+        (cfgdir / "c.cfg").write_text(MINI_TOY)
+        monkeypatch.chdir(work)
+        argv = ["posterior-exact", "--config", "../cfgdir/c.cfg", "--quiet"]
+        assert main(argv + ["--out", "results"]) == 0
+        assert (work / "results" / "exact_posterior_samples.csv").is_file()
+        assert sorted(p.name for p in cfgdir.iterdir()) == ["c.cfg"]
+        # without --out, [outputs] directory = out lies next to the config
+        assert main(argv) == 0
+        assert (cfgdir / "out" / "exact_posterior_samples.csv").is_file()
+        assert [p.name for p in work.iterdir()] == ["results"]
 
 
 class TestSolve:
