@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -683,6 +684,16 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--out", str(out), "--quiet"]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_diverging_train_raises_no_floating_point_warning(self, tmp_path, capsys):
+        """The loss check names the step; numpy's overflow warnings stay quiet."""
+        path = tmp_path / "diverge.cfg"
+        path.write_text(MINI_TOY.replace("learning_rate = 0.001", "learning_rate = 1e300"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "loss became non-finite at step" in capsys.readouterr().err
 
     def test_failed_train_keeps_an_existing_directory(self, tmp_path):
         path = tmp_path / "diverge.cfg"

@@ -1,11 +1,15 @@
 """Start-up cost: the solve path and independent training load no scipy module.
 
-Importing scipy takes about half a second, more than a small solve, so only
-the code that needs it loads it: exact minibatch OT (`linear_sum_assignment`)
-and with it the `invariants` command.  Each case runs in a fresh interpreter.
+Importing scipy.optimize takes about half a second and 40 MB, more than a
+small solve, so only the code that needs it loads scipy at all: exact
+minibatch OT and with it the `invariants` command.  Even they load only the
+compiled `linear_sum_assignment` extension, `scipy.optimize._lsap`, never the
+`scipy.optimize` package.  Each case runs in a fresh interpreter, since
+in-process tests import `scipy.optimize` through `tests/oracles.py`.
 """
 
 import ast
+import importlib.machinery
 import os
 import subprocess
 import sys
@@ -14,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import MINI_TOY
+from flower_lab import flow
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,4 +64,39 @@ def test_only_exact_ot_training_loads_scipy(tmp_path, coupling):
     if coupling == "independent":
         assert loaded == []
     else:
-        assert "scipy.optimize" in loaded
+        assert "scipy.optimize._lsap" in loaded
+        assert "scipy.optimize" not in loaded
+
+
+def test_invariants_load_only_the_assignment_extension(tmp_path):
+    loaded = scipy_modules_after(cli_main("invariants", "--quiet"), tmp_path)
+    assert "scipy.optimize._lsap" in loaded
+    assert "scipy.optimize" not in loaded
+
+
+def test_public_import_reuses_the_loaded_solver(tmp_path):
+    """`import scipy.optimize` after the direct load exports the very same solver."""
+    statements = [
+        "from flower_lab.flow import _linear_sum_assignment",
+        "direct = _linear_sum_assignment()",
+        "assert 'scipy.optimize' not in sys.modules",
+        "from scipy.optimize import linear_sum_assignment",
+        "assert linear_sum_assignment is direct",
+        "assert _linear_sum_assignment() is direct",
+    ]
+    assert "scipy.optimize" in scipy_modules_after(statements, tmp_path)
+
+
+def test_solver_without_the_extension_takes_the_public_import(monkeypatch):
+    """A scipy laid out without `optimize/_lsap` as an extension still gets its solver."""
+    import scipy.optimize
+
+    find_spec = importlib.machinery.PathFinder.find_spec
+
+    def no_lsap(name, path=None, target=None):
+        return None if name == "scipy.optimize._lsap" else find_spec(name, path, target)
+
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_lsap)
+    assert flow._linear_sum_assignment() is scipy.optimize.linear_sum_assignment
+    assert "scipy.optimize._lsap" not in sys.modules
