@@ -4,11 +4,13 @@ Output contracts, fixed for regression testing:
   * CSVs use 17-significant-digit floats with a decimal point and LF line
     endings; the first two lines are comments embedding the config hash
     and the seed.
-  * solve writes into the target directory atomically: files land in a
-    scratch subdirectory and move into place only after everything
-    succeeded, metrics last.
+  * train, solve, posterior-exact and sample-prior write into the target
+    directory atomically: files land in a scratch subdirectory and move
+    into place only after everything succeeded, metrics last.  A failed
+    run leaves an existing directory unchanged and removes one it created.
   * exit codes: 0 success, 1 invariant failure, 2 config error,
-    3 numerical failure.
+    3 numerical failure of a solver step, the trainer, the exact
+    posterior or the metrics (NaN or infinity never reaches metrics.json).
 
 solve draws every sample in one lockstep batch; with record_trajectory the
 first n_trajectories rows of that batch (raw runs, before n_avg averaging)
@@ -25,6 +27,7 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -63,47 +66,42 @@ def fmt_float(x: float) -> str:
     return s
 
 
-def _open_lf(path):
-    return open(path, "w", newline="\n")
+def _write_csv(path, cfg: ExperimentConfig, seed: int, columns, rows):
+    """The config hash and seed as comments, the column names, then one line a row.
+
+    Each row is (leading cells, float values); the values go through fmt_float.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# config_sha256={cfg.sha256}\n# seed={seed}\n" + ",".join(columns) + "\n")
+        for lead, values in rows:
+            fh.write(",".join([*lead, *map(fmt_float, values)]) + "\n")
 
 
-def _header_lines(fh, cfg: ExperimentConfig, seed: int):
-    fh.write(f"# config_sha256={cfg.sha256}\n")
-    fh.write(f"# seed={seed}\n")
+def _dims(d: int) -> list[str]:
+    return [f"dim_{j}" for j in range(d)]
 
 
 def write_samples_csv(path, samples, cfg, seed):
     samples = np.atleast_2d(samples)
-    with _open_lf(path) as fh:
-        _header_lines(fh, cfg, seed)
-        dims = ",".join(f"dim_{j}" for j in range(samples.shape[1]))
-        fh.write(f"run_id,{dims}\n")
-        # Python floats: formatting numpy scalars one by one is about 1.5x slower
-        for i, row in enumerate(samples.tolist()):
-            fh.write(f"{i}," + ",".join(fmt_float(v) for v in row) + "\n")
+    # Python floats: formatting numpy scalars one by one is about 1.5x slower
+    rows = (((str(i),), row) for i, row in enumerate(samples.tolist()))
+    _write_csv(path, cfg, seed, ["run_id", *_dims(samples.shape[1])], rows)
 
 
 def write_trajectory_csv(path, record, row, cfg, seed):
     """The stages of trajectory `row` of a TrajectoryRecord, step by step."""
-    with _open_lf(path) as fh:
-        _header_lines(fh, cfg, seed)
-        d = record.x_t.shape[2]
-        dims = ",".join(f"dim_{j}" for j in range(d))
-        fh.write(f"step,t,stage,{dims}\n")
-        stage_arrays = (record.x_t, record.x1_hat, record.mu, record.x1_tilde)
-        for k in range(len(record)):
-            t_str = fmt_float(record.t[k])
-            for stage, arr in zip(TRAJECTORY_STAGES, stage_arrays):
-                vals = ",".join(fmt_float(v) for v in arr[k, row])
-                fh.write(f"{k},{t_str},{stage},{vals}\n")
+    stage_arrays = (record.x_t, record.x1_hat, record.mu, record.x1_tilde)
+    rows = (
+        ((str(k), fmt_float(t), stage), arr[k, row])
+        for k, t in enumerate(record.t)
+        for stage, arr in zip(TRAJECTORY_STAGES, stage_arrays)
+    )
+    _write_csv(path, cfg, seed, ["step", "t", "stage", *_dims(record.x_t.shape[2])], rows)
 
 
 def write_loss_csv(path, losses, cfg, seed):
-    with _open_lf(path) as fh:
-        _header_lines(fh, cfg, seed)
-        fh.write("step,loss\n")
-        for i, v in enumerate(losses):
-            fh.write(f"{i},{fmt_float(v)}\n")
+    rows = (((str(i),), (v,)) for i, v in enumerate(losses))
+    _write_csv(path, cfg, seed, ["step", "loss"], rows)
 
 
 def _say(args, message):
@@ -111,17 +109,17 @@ def _say(args, message):
         print(message)
 
 
-def _train_into(cfg: ExperimentConfig, train_cfg, directory: Path):
+def _train_into(cfg: ExperimentConfig, directory: Path):
     """Train the configured field; write checkpoint.flw and loss.csv into directory."""
     field, losses = train_cfm(
         cfg.prior.sample,
         standard_normal_sampler(cfg.prior.dim),
         cfg.coupling(),
-        train_cfg,
+        cfg.train,
         dim=cfg.prior.dim,
     )
     save_checkpoint(field.mlp, directory / "checkpoint.flw", extra={"config_sha256": cfg.sha256})
-    write_loss_csv(directory / "loss.csv", losses, cfg, train_cfg.seed)
+    write_loss_csv(directory / "loss.csv", losses, cfg, cfg.train.seed)
     return field, losses
 
 
@@ -141,29 +139,53 @@ def _load_field(cfg: ExperimentConfig, workdir: Path):
             )
         return field
     # field_kind == "train": train in-process, persist next to the samples
-    return _train_into(cfg, cfg.train, workdir)[0]
+    return _train_into(cfg, workdir)[0]
 
 
 @contextlib.contextmanager
-def _output_dir(directory: Path):
-    """Create directory; on leaving, remove it if this run created it and left it empty."""
-    created = not directory.exists()
+def _staged(directory: Path):
+    """Yield a scratch directory inside directory; publish its files only on success.
+
+    On success every file moves into place, metrics.json last.  On failure an
+    existing directory keeps its files, and the outermost one this run created
+    is removed.
+    """
+    created = next((p for p in [*reversed(directory.parents), directory] if not p.exists()), None)
     directory.mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(prefix=".staged-", dir=directory))
     try:
-        yield
-    finally:
-        if created and not any(directory.iterdir()):  # empty: the run failed
-            directory.rmdir()
+        yield scratch
+        for path in sorted(scratch.iterdir(), key=lambda p: (p.name == "metrics.json", p.name)):
+            os.replace(path, directory / path.name)
+    except BaseException:
+        shutil.rmtree(created or scratch, ignore_errors=True)
+        raise
+    scratch.rmdir()
+
+
+def _exact_posterior(cfg: ExperimentConfig):
+    # a failed factorization (LinAlgError is a ValueError) or posterior GMM check
+    try:
+        return posterior_linear_gaussian(cfg.prior, cfg.observation)
+    except ValueError as exc:
+        raise FloatingPointError(f"exact posterior: {exc}") from exc
+
+
+def _write_metrics(path: Path, doc: dict):
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"metrics: {exc}") from exc
+    path.write_text(text + "\n", newline="\n")
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
     if cfg.train is None:
         raise ConfigError(f"{cfg.path}: train requires a [train] section")
-    train_cfg = cfg.train
-    _say(args, f"training {train_cfg.steps} steps (batch {train_cfg.batch_size}) ...")
-    with _output_dir(cfg.output_dir):
-        _, losses = _train_into(cfg, train_cfg, cfg.output_dir)
+    _say(args, f"training {cfg.train.steps} steps (batch {cfg.train.batch_size}) ...")
+    with _staged(cfg.output_dir) as scratch:
+        _, losses = _train_into(cfg, scratch)
     _say(args, f"wrote {cfg.output_dir / 'checkpoint.flw'} (final loss {losses[-1]:.6f})")
     return EXIT_OK
 
@@ -177,121 +199,86 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
     solver = cfg.solver
     obs = cfg.observation
-    with _output_dir(cfg.output_dir), tempfile.TemporaryDirectory(
-        prefix=".solve-", dir=cfg.output_dir, ignore_cleanup_errors=True
-    ) as tmp:
-        scratch = Path(tmp)
+    n = cfg.n_samples
+    with _staged(cfg.output_dir) as scratch:
         field = _load_field(cfg, scratch)
         _say(
             args,
             f"flower: N={solver.n_steps} gamma={solver.gamma} "
-            f"n_samples={cfg.n_samples} n_avg={solver.n_avg}",
+            f"n_samples={n} n_avg={solver.n_avg}",
         )
-        raw = run_batch(field, obs, solver, cfg.n_samples * solver.n_avg)
+        raw = run_batch(field, obs, solver, n * solver.n_avg)
         if solver.n_trajectories:
             raw, record = raw
             for i in range(solver.n_trajectories):
                 write_trajectory_csv(
                     scratch / f"trajectory_run_{i:03d}.csv", record, i, cfg, solver.seed
                 )
-        if solver.n_avg > 1:
-            samples = raw.reshape(cfg.n_samples, solver.n_avg, -1).mean(axis=1)
-        else:
-            samples = raw
+        samples = raw.reshape(n, solver.n_avg, -1).mean(axis=1)
         write_samples_csv(scratch / "flower_samples.csv", samples, cfg, solver.seed)
-
-        reports = []
-        extras = {}
-        mean, cov = empirical_moments(samples)
-        extras["moments"] = {
-            "mean": [float(v) for v in mean],
-            "covariance": [[float(v) for v in row] for row in cov],
-        }
-        if obs.operator.out_dim > 0:
-            resid = obs.operator.apply(samples) - obs.observation
-            extras["residual_linf"] = float(np.max(np.abs(resid)))
-
         if cfg.baseline_exact_posterior:
-            post = posterior_linear_gaussian(cfg.prior, obs)
+            post = _exact_posterior(cfg)
             rng = _baseline_rng(solver.seed, 1)
-            exact = post.sample(rng, cfg.n_samples)
+            # the baseline, then the two draws whose distance is the noise floor
+            exact, *floor_pair = (post.sample(rng, n) for _ in range(3))
             write_samples_csv(scratch / "exact_posterior_samples.csv", exact, cfg, solver.seed)
-            # both distances project on the same directions, from stream 2
-            dist = sliced_w2(samples, exact, rng=_baseline_rng(solver.seed, 2))
-            floor = sliced_w2(
-                post.sample(rng, cfg.n_samples),
-                post.sample(rng, cfg.n_samples),
-                rng=_baseline_rng(solver.seed, 2),
-            )
-            reports.append(
-                metric_report(
-                    "sliced_w2_flower_vs_exact_posterior", dist,
-                    cfg.n_samples, cfg.n_samples, 128, solver.seed,
-                )
-            )
-            reports.append(
-                metric_report(
-                    "sliced_w2_noise_floor", floor,
-                    cfg.n_samples, cfg.n_samples, 128, solver.seed,
-                )
-            )
-            logdet_flower = covariance_logdet(samples)
-            logdet_exact = covariance_logdet(exact)
-            singular = logdet_flower is None or logdet_exact is None
-            extras["covariance_log_determinant"] = {
-                "flower": logdet_flower,
-                "exact_posterior": logdet_exact,
-                "tail_shrinkage": None if singular else logdet_flower < logdet_exact,
-            }
         if cfg.baseline_unconditional:
             rng = _baseline_rng(solver.seed, 3)
-            uncond = euler_sample(
-                field, rng.standard_normal((cfg.n_samples, cfg.prior.dim)),
-                solver.n_steps,
-            )
+            uncond = euler_sample(field, rng.standard_normal((n, cfg.prior.dim)), solver.n_steps)
             write_samples_csv(scratch / "unconditional_samples.csv", uncond, cfg, solver.seed)
 
-        metrics_doc = {
+        doc = {
             "config_sha256": cfg.sha256,
             "seed": solver.seed,
-            "n_samples": cfg.n_samples,
+            "n_samples": n,
             "n_avg": solver.n_avg,
             "gamma": solver.gamma,
             "n_steps": solver.n_steps,
-            "reports": reports,
-            **extras,
+            "reports": [],
         }
-        with _open_lf(scratch / "metrics.json") as fh:
-            json.dump(metrics_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-        # everything succeeded: move into place, metrics.json last
-        names = sorted(p.name for p in scratch.iterdir())
-        names.remove("metrics.json")
-        for name in names + ["metrics.json"]:
-            os.replace(scratch / name, cfg.output_dir / name)
+        # no overflow warnings: _write_metrics refuses a non-finite value and names the layer
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, cov = empirical_moments(samples)
+            doc["moments"] = {"mean": mean.tolist(), "covariance": cov.tolist()}
+            if obs.operator.out_dim > 0:
+                resid = obs.operator.apply(samples) - obs.observation
+                doc["residual_linf"] = float(np.max(np.abs(resid)))
+            if cfg.baseline_exact_posterior:
+                # both distances project on the same directions, from stream 2
+                for name, a, b in (
+                    ("sliced_w2_flower_vs_exact_posterior", samples, exact),
+                    ("sliced_w2_noise_floor", *floor_pair),
+                ):
+                    value = sliced_w2(a, b, rng=_baseline_rng(solver.seed, 2))
+                    doc["reports"].append(metric_report(name, value, n, n, 128, solver.seed))
+                logdet_flower = covariance_logdet(samples)
+                logdet_exact = covariance_logdet(exact)
+                singular = logdet_flower is None or logdet_exact is None
+                doc["covariance_log_determinant"] = {
+                    "flower": logdet_flower,
+                    "exact_posterior": logdet_exact,
+                    "tail_shrinkage": None if singular else logdet_flower < logdet_exact,
+                }
+        _write_metrics(scratch / "metrics.json", doc)
     _say(args, f"wrote {cfg.output_dir}/flower_samples.csv and metrics.json")
     return EXIT_OK
 
 
 def cmd_posterior_exact(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-    post = posterior_linear_gaussian(cfg.prior, cfg.observation)
-    samples = post.sample(_baseline_rng(cfg.solver.seed, 1), cfg.n_samples)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    out = cfg.output_dir / "exact_posterior_samples.csv"
-    write_samples_csv(out, samples, cfg, cfg.solver.seed)
-    _say(args, f"wrote {out}")
+    samples = _exact_posterior(cfg).sample(_baseline_rng(cfg.solver.seed, 1), cfg.n_samples)
+    with _staged(cfg.output_dir) as scratch:
+        write_samples_csv(scratch / "exact_posterior_samples.csv", samples, cfg, cfg.solver.seed)
+    _say(args, f"wrote {cfg.output_dir / 'exact_posterior_samples.csv'}")
     return EXIT_OK
 
 
 def cmd_sample_prior(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
     samples = cfg.prior.sample(_baseline_rng(cfg.solver.seed, 5), cfg.n_samples)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    out = cfg.output_dir / "prior_samples.csv"
-    write_samples_csv(out, samples, cfg, cfg.solver.seed)
-    _say(args, f"wrote {out}")
+    with _staged(cfg.output_dir) as scratch:
+        write_samples_csv(scratch / "prior_samples.csv", samples, cfg, cfg.solver.seed)
+    _say(args, f"wrote {cfg.output_dir / 'prior_samples.csv'}")
     return EXIT_OK
 
 
@@ -347,7 +334,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpdSolveError, TrainingDivergedError, FlowerRunError) as exc:
+    except (SpdSolveError, TrainingDivergedError, FlowerRunError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -712,6 +713,89 @@ class TestTrain:
         path = tmp_path / "notrain.cfg"
         path.write_text(head + "[solver]" + tail)
         assert main(["train", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG
+
+
+def disk_full(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+class TestStagedOutput:
+    """Every writing verb publishes its files whole, or leaves the directory as it was."""
+
+    @pytest.mark.parametrize("verb", ["train", "solve", "posterior-exact", "sample-prior"])
+    def test_success_leaves_no_scratch_directory(self, mini_config, tmp_path, verb):
+        out = tmp_path / "out"
+        for _ in range(2):  # into a new directory, then into the existing one
+            assert main([verb, "--config", str(mini_config), "--out", str(out), "--quiet"]) == 0
+            entries = list(out.iterdir())
+            assert entries and all(p.is_file() and not p.name.startswith(".") for p in entries)
+
+    def test_metrics_are_published_last(self, mini_config, tmp_path, monkeypatch):
+        moved, replace = [], os.replace
+
+        def record(src, dst):
+            moved.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", record)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(mini_config), "--out", str(out), "--quiet"]) == 0
+        assert moved[-1] == "metrics.json"
+        assert sorted(moved) == sorted(p.name for p in out.iterdir())
+
+    def test_interrupted_train_keeps_the_earlier_files(self, mini_config, tmp_path, monkeypatch):
+        out = tmp_path / "trained"
+        argv = ["train", "--config", str(mini_config), "--out", str(out), "--quiet"]
+        assert main(argv) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(earlier) == ["checkpoint.flw", "loss.csv"]
+        monkeypatch.setattr(cli, "write_loss_csv", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            main(argv + ["--seed", "9"])  # another seed: another checkpoint
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    @pytest.mark.parametrize("verb", ["posterior-exact", "sample-prior"])
+    def test_failed_write_removes_the_directories_it_created(
+        self, mini_config, tmp_path, monkeypatch, verb
+    ):
+        monkeypatch.setattr(cli, "write_samples_csv", disk_full)
+        out = tmp_path / "new" / "out"
+        with pytest.raises(OSError, match="No space left"):
+            main([verb, "--config", str(mini_config), "--out", str(out), "--quiet"])
+        assert [p.name for p in tmp_path.iterdir()] == ["mini.cfg"]
+
+    @pytest.mark.parametrize("verb", ["solve", "posterior-exact"])
+    @pytest.mark.parametrize(
+        "h, noise_std, why",
+        [
+            # the posterior precision cannot be factored
+            ("[1.5, 1.3]", "1e-10", "Matrix is not positive definite"),
+            # it can, but its inverse fails the posterior GMM's own check
+            ("[15, 15]", "1e-8", "covariance is not positive definite"),
+        ],
+    )
+    def test_failed_exact_posterior_exits_3(self, tmp_path, capsys, verb, h, noise_std, why):
+        path = tmp_path / "sharp.cfg"
+        text = MINI_TOY.replace("h = [1.5, 1.5]", f"h = {h}")
+        path.write_text(text.replace("noise_std = 0.25", f"noise_std = {noise_std}"))
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: exact posterior: {why}\n"
+        assert not out.exists()
+
+    def test_non_finite_metric_exits_3_and_publishes_nothing(self, tmp_path, capsys):
+        """Samples near 1e282 overflow the moments and sliced-W2; metrics.json holds JSON only."""
+        text = MINI_TOY.replace("h = [1.5, 1.5]", "h = [15, 15]").replace("gamma = 1", "gamma = 0")
+        path = tmp_path / "overflow.cfg"
+        path.write_text(text.replace("noise_std = 0.25", "noise_std = 1e-150"))
+        out = tmp_path / "earlier"
+        out.mkdir()
+        (out / "metrics.json").write_text("{}\n")
+        assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: metrics: ")
+        assert [p.name for p in out.iterdir()] == ["metrics.json"]
+        assert (out / "metrics.json").read_text() == "{}\n"
 
 
 class TestBundledRuns:
