@@ -7,7 +7,8 @@ Output contracts, fixed for regression testing:
   * train, solve, posterior-exact and sample-prior write into the target
     directory atomically: files land in a scratch subdirectory and move
     into place only after everything succeeded, metrics last.  A failed
-    run leaves an existing directory unchanged and removes one it created.
+    run leaves an existing directory unchanged and removes the ones it
+    created while they hold no other run's files.
   * exit codes: 0 success, 1 invariant failure, 2 config error,
     3 numerical failure of a solver step, the trainer, the exact
     posterior or the metrics (NaN or infinity never reaches metrics.json).
@@ -72,7 +73,8 @@ def _write_csv(path, cfg: ExperimentConfig, seed: int, columns, rows):
     Each row is (leading cells, float values); the values go through fmt_float.
     """
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# config_sha256={cfg.sha256}\n# seed={seed}\n" + ",".join(columns) + "\n")
+        fh.write(f"# config_sha256={cfg.sha256}\n# seed={seed}\n")
+        fh.write(",".join(columns) + "\n")
         for lead, values in rows:
             fh.write(",".join([*lead, *map(fmt_float, values)]) + "\n")
 
@@ -146,11 +148,11 @@ def _load_field(cfg: ExperimentConfig, workdir: Path):
 def _staged(directory: Path):
     """Yield a scratch directory inside directory; publish its files only on success.
 
-    On success every file moves into place, metrics.json last.  On failure an
-    existing directory keeps its files, and the outermost one this run created
-    is removed.
+    On success every file moves into place, metrics.json last.  On failure the
+    scratch directory goes, and so does each directory this run created that is
+    still empty: files another run placed there meanwhile stay.
     """
-    created = next((p for p in [*reversed(directory.parents), directory] if not p.exists()), None)
+    created = [p for p in [directory, *directory.parents] if not p.exists()]
     directory.mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix=".staged-", dir=directory))
     try:
@@ -158,16 +160,22 @@ def _staged(directory: Path):
         for path in sorted(scratch.iterdir(), key=lambda p: (p.name == "metrics.json", p.name)):
             os.replace(path, directory / path.name)
     except BaseException:
-        shutil.rmtree(created or scratch, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
+        with contextlib.suppress(OSError):  # innermost first; stop at one that is not empty
+            for path in created:
+                path.rmdir()
         raise
     scratch.rmdir()
 
 
 def _exact_posterior(cfg: ExperimentConfig):
-    # a failed factorization (LinAlgError is a ValueError) or posterior GMM check
     try:
         return posterior_linear_gaussian(cfg.prior, cfg.observation)
     except ValueError as exc:
+        # numerical: a failed factorization, or the posterior GMM's positive-definiteness
+        # check, which chains one; any other ValueError is a fault and propagates
+        if not any(isinstance(e, np.linalg.LinAlgError) for e in (exc, exc.__cause__)):
+            raise
         raise FloatingPointError(f"exact posterior: {exc}") from exc
 
 
@@ -219,9 +227,10 @@ def cmd_solve(args) -> int:
         if cfg.baseline_exact_posterior:
             post = _exact_posterior(cfg)
             rng = _baseline_rng(solver.seed, 1)
-            # the baseline, then the two draws whose distance is the noise floor
-            exact, *floor_pair = (post.sample(rng, n) for _ in range(3))
+            exact = post.sample(rng, n)
             write_samples_csv(scratch / "exact_posterior_samples.csv", exact, cfg, solver.seed)
+            floor_a = post.sample(rng, n)
+            floor_b = post.sample(rng, n)
         if cfg.baseline_unconditional:
             rng = _baseline_rng(solver.seed, 3)
             uncond = euler_sample(field, rng.standard_normal((n, cfg.prior.dim)), solver.n_steps)
@@ -245,12 +254,16 @@ def cmd_solve(args) -> int:
                 doc["residual_linf"] = float(np.max(np.abs(resid)))
             if cfg.baseline_exact_posterior:
                 # both distances project on the same directions, from stream 2
-                for name, a, b in (
-                    ("sliced_w2_flower_vs_exact_posterior", samples, exact),
-                    ("sliced_w2_noise_floor", *floor_pair),
-                ):
-                    value = sliced_w2(a, b, rng=_baseline_rng(solver.seed, 2))
-                    doc["reports"].append(metric_report(name, value, n, n, 128, solver.seed))
+                dist = sliced_w2(samples, exact, rng=_baseline_rng(solver.seed, 2))
+                floor = sliced_w2(floor_a, floor_b, rng=_baseline_rng(solver.seed, 2))
+                doc["reports"].append(
+                    metric_report(
+                        "sliced_w2_flower_vs_exact_posterior", dist, n, n, 128, solver.seed
+                    )
+                )
+                doc["reports"].append(
+                    metric_report("sliced_w2_noise_floor", floor, n, n, 128, solver.seed)
+                )
                 logdet_flower = covariance_logdet(samples)
                 logdet_exact = covariance_logdet(exact)
                 singular = logdet_flower is None or logdet_exact is None

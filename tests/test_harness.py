@@ -764,6 +764,36 @@ class TestStagedOutput:
             main([verb, "--config", str(mini_config), "--out", str(out), "--quiet"])
         assert [p.name for p in tmp_path.iterdir()] == ["mini.cfg"]
 
+    def test_failed_run_keeps_files_another_run_placed_under_a_created_parent(
+        self, mini_config, tmp_path, monkeypatch
+    ):
+        """A train into new/a fails after a sample-prior published into new/b."""
+        other = tmp_path / "new" / "b"
+
+        def publish_other_then_fail(*args, **kwargs):
+            argv = ["sample-prior", "--config", str(mini_config), "--out", str(other), "--quiet"]
+            assert main(argv) == 0
+            disk_full()
+
+        monkeypatch.setattr(cli, "write_loss_csv", publish_other_then_fail)
+        out = tmp_path / "new" / "a"
+        with pytest.raises(OSError, match="No space left"):
+            main(["train", "--config", str(mini_config), "--out", str(out), "--quiet"])
+        assert not out.exists()
+        assert [p.name for p in other.iterdir()] == ["prior_samples.csv"]
+
+    def test_other_posterior_value_error_is_not_numerical(
+        self, mini_config, tmp_path, monkeypatch
+    ):
+        def mismatch(prior, obs):
+            raise ValueError("x has dimension 3, expected 2")
+
+        monkeypatch.setattr(cli, "posterior_linear_gaussian", mismatch)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="dimension 3"):
+            main(["posterior-exact", "--config", str(mini_config), "--out", str(out), "--quiet"])
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["solve", "posterior-exact"])
     @pytest.mark.parametrize(
         "h, noise_std, why",
