@@ -5,10 +5,9 @@ Output contracts, fixed for regression testing:
     endings; the first two lines are comments embedding the config hash
     and the seed.
   * train, solve, posterior-exact and sample-prior write into the target
-    directory atomically: files land in a scratch subdirectory and move
-    into place only after everything succeeded, metrics last.  A failed
-    run leaves an existing directory unchanged and removes the ones it
-    created while they hold no other run's files.
+    directory atomically: files move from a scratch subdirectory into
+    place only after everything succeeded, metrics last.  A failed run
+    leaves existing directories unchanged and removes the empty ones it made.
   * exit codes: 0 success, 1 invariant failure, 2 config error,
     3 numerical failure of a solver step, the trainer, the exact
     posterior or the metrics (NaN or infinity never reaches metrics.json).
