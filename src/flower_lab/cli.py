@@ -8,9 +8,10 @@ Output contracts, fixed for regression testing:
     directory atomically: files move from a scratch subdirectory into
     place only after everything succeeded, metrics last.  A failed run
     leaves existing directories unchanged and removes the empty ones it made.
-  * exit codes: 0 success, 1 invariant failure, 2 config error,
-    3 numerical failure of a solver step, the trainer, the exact
-    posterior or the metrics (NaN or infinity never reaches metrics.json).
+  * exit codes: 0 success, 1 invariant failure, 2 config error (an
+    unreadable config or checkpoint included), 3 numerical failure of a
+    solver step, the trainer, the exact posterior or the metrics (NaN or
+    infinity never reaches metrics.json), 4 an OSError while writing output.
 
 solve draws every sample in one lockstep batch; with record_trajectory the
 first n_trajectories rows of that batch (raw runs, before n_avg averaging)
@@ -54,6 +55,7 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_OUTPUT = 4
 
 TRAJECTORY_STAGES = ("xt", "xhat1", "mu", "xtilde1")
 
@@ -110,37 +112,24 @@ def _say(args, message):
         print(message)
 
 
-def _train_into(cfg: ExperimentConfig, directory: Path):
-    """Train the configured field; write checkpoint.flw and loss.csv into directory."""
-    field, losses = train_cfm(
-        cfg.prior.sample,
-        standard_normal_sampler(cfg.prior.dim),
-        cfg.coupling(),
-        cfg.train,
-        dim=cfg.prior.dim,
-    )
-    save_checkpoint(field.mlp, directory / "checkpoint.flw", extra={"config_sha256": cfg.sha256})
-    write_loss_csv(directory / "loss.csv", losses, cfg, cfg.train.seed)
-    return field, losses
-
-
-def _load_field(cfg: ExperimentConfig, workdir: Path):
+def _load_field(cfg: ExperimentConfig):
     """Materialize the velocity field named by the config."""
     if cfg.field_kind == "analytic":
         return AnalyticGmmField(cfg.prior)
-    if cfg.field_kind == "mlp":
-        try:
-            field = MlpField(load_checkpoint(cfg.checkpoint)[0])
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"{cfg.path}: [field] unusable checkpoint: {exc}") from exc
-        if field.dim != cfg.prior.dim:
-            raise ConfigError(
-                f"{cfg.path}: [field] checkpoint holds a field on R^{field.dim}, "
-                f"but the prior lives on R^{cfg.prior.dim}"
-            )
-        return field
-    # field_kind == "train": train in-process, persist next to the samples
-    return _train_into(cfg, workdir)[0]
+    try:
+        field = MlpField(load_checkpoint(cfg.checkpoint)[0])
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"{cfg.path}: [field] unusable checkpoint: {exc}") from exc
+    if field.dim != cfg.prior.dim:
+        raise ConfigError(
+            f"{cfg.path}: [field] checkpoint holds a field on R^{field.dim}, "
+            f"but the prior lives on R^{cfg.prior.dim}"
+        )
+    return field
+
+
+class _OutputFailure(Exception):
+    """An OSError while a command created or wrote its output directory."""
 
 
 @contextlib.contextmanager
@@ -149,22 +138,27 @@ def _staged(directory: Path):
 
     On success every file moves into place, metrics.json last.  On failure the
     scratch directory goes, and so does each directory this run created that is
-    still empty: files another run placed there meanwhile stay.
+    still empty: files another run placed there meanwhile stay.  An OSError
+    comes out as an _OutputFailure that names directory.
     """
     created = [p for p in [directory, *directory.parents] if not p.exists()]
-    directory.mkdir(parents=True, exist_ok=True)
-    scratch = Path(tempfile.mkdtemp(prefix=".staged-", dir=directory))
+    scratch = None
     try:
+        directory.mkdir(parents=True, exist_ok=True)
+        scratch = Path(tempfile.mkdtemp(prefix=".staged-", dir=directory))
         yield scratch
         for path in sorted(scratch.iterdir(), key=lambda p: (p.name == "metrics.json", p.name)):
             os.replace(path, directory / path.name)
-    except BaseException:
-        shutil.rmtree(scratch, ignore_errors=True)
+        scratch.rmdir()
+    except BaseException as exc:
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
         with contextlib.suppress(OSError):  # innermost first; stop at one that is not empty
             for path in created:
                 path.rmdir()
+        if isinstance(exc, OSError):
+            raise _OutputFailure(f"{directory}: {exc}") from exc
         raise
-    scratch.rmdir()
 
 
 def _exact_posterior(cfg: ExperimentConfig):
@@ -192,7 +186,15 @@ def cmd_train(args) -> int:
         raise ConfigError(f"{cfg.path}: train requires a [train] section")
     _say(args, f"training {cfg.train.steps} steps (batch {cfg.train.batch_size}) ...")
     with _staged(cfg.output_dir) as scratch:
-        _, losses = _train_into(cfg, scratch)
+        field, losses = train_cfm(
+            cfg.prior.sample,
+            standard_normal_sampler(cfg.prior.dim),
+            cfg.coupling(),
+            cfg.train,
+            dim=cfg.prior.dim,
+        )
+        save_checkpoint(field.mlp, scratch / "checkpoint.flw", extra={"config_sha256": cfg.sha256})
+        write_loss_csv(scratch / "loss.csv", losses, cfg, cfg.train.seed)
     _say(args, f"wrote {cfg.output_dir / 'checkpoint.flw'} (final loss {losses[-1]:.6f})")
     return EXIT_OK
 
@@ -207,8 +209,8 @@ def cmd_solve(args) -> int:
     solver = cfg.solver
     obs = cfg.observation
     n = cfg.n_samples
+    field = _load_field(cfg)
     with _staged(cfg.output_dir) as scratch:
-        field = _load_field(cfg, scratch)
         _say(
             args,
             f"flower: N={solver.n_steps} gamma={solver.gamma} "
@@ -349,6 +351,9 @@ def main(argv=None) -> int:
     except (SpdSolveError, TrainingDivergedError, FlowerRunError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except _OutputFailure as exc:
+        print(f"output failure: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

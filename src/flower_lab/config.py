@@ -46,7 +46,7 @@ class ExperimentConfig:
     sha256: str
     prior: GaussianMixture
     observation: LinearGaussianObservation
-    field_kind: str  # analytic | mlp | train
+    field_kind: str  # analytic | mlp
     checkpoint: Path | None
     train: TrainConfig | None
     coupling_name: str
@@ -162,13 +162,16 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
     ``out_override``, relative to the working directory, the output directory.
 
     Raises:
-        ConfigError: the file is missing, any section is invalid, or a key
-            or section is one that nothing reads.
+        ConfigError: the file is missing or unreadable, any section is
+            invalid, or a key or section is one that nothing reads.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    raw_bytes = path.read_bytes()
+    try:
+        raw_bytes = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     sha256 = hashlib.sha256(raw_bytes).hexdigest()
 
     parser = configparser.ConfigParser(interpolation=None)
@@ -217,7 +220,7 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
 
     field_sec = section("field")
     field_kind = field_sec.string("kind", required=True)
-    if field_kind not in ("analytic", "mlp", "train"):
+    if field_kind not in ("analytic", "mlp"):
         raise ConfigError(f"{path}: [field] unknown kind {field_kind!r}")
     checkpoint = None
     if field_kind == "mlp":
@@ -242,8 +245,6 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
                 f"minibatch_ot needs a {mib:,.1f} MiB cost matrix; exact OT allows "
                 f"at most {_OT_MAX_BATCH}"
             )
-    if field_kind == "train" and train is None:
-        raise ConfigError(f"{path}: field kind 'train' requires a [train] section")
 
     solver_sec = section("solver")
     noise_std = solver_sec.number("noise_std", default=observation.noise_std)

@@ -27,7 +27,6 @@ __all__ = [
     "euler_sample",
     "IndependentCoupling",
     "MinibatchOTCoupling",
-    "cfm_loss",
     "TrainConfig",
     "TrainingDivergedError",
     "train_cfm",
@@ -241,29 +240,6 @@ def pairing_cost(x0s, x1s) -> float:
     """Total squared distance of a pairing, row i against row i."""
     diff = np.asarray(x1s, dtype=float) - np.asarray(x0s, dtype=float)
     return float(np.sum(diff * diff))
-
-
-def cfm_loss(mlp: Mlp, x0s, x1s, ts):
-    """Conditional flow-matching loss and parameter gradients on one batch.
-
-    Interpolates x_t = (1 - t) x0 + t x1, feeds (x_t, t) through the
-    network and regresses onto x1 - x0.  Returns (loss, grads) with grads
-    a list of (dW, db) pairs aligned with the network layers.
-    """
-    x0s = np.asarray(x0s, dtype=mlp.dtype)
-    x1s = np.asarray(x1s, dtype=mlp.dtype)
-    ts = np.asarray(ts, dtype=mlp.dtype).reshape(-1)
-    if x0s.shape != x1s.shape or x0s.shape[0] != ts.shape[0]:
-        raise ValueError("batch shapes disagree")
-    if np.any(ts < 0) or np.any(ts > 1):
-        raise ValueError("times must lie in [0, 1]")
-    n, d = x0s.shape
-    tcol = ts[:, None]
-    inp = np.concatenate([(1.0 - tcol) * x0s + tcol * x1s, tcol], axis=1)
-    ws = MlpWorkspace(mlp, n)
-    loss = ws.loss_and_grad(inp, x1s - x0s)
-    grads = [(dw.copy(), db.copy()) for dw, db in zip(ws.grad_w, ws.grad_b)]
-    return loss, grads
 
 
 @dataclass(frozen=True)

@@ -204,9 +204,13 @@ def load_checkpoint(path) -> tuple[Mlp, dict]:
         raise ValueError(f"{path}: not a checkpoint file")
     n = int.from_bytes(raw[8:16], "little")
     header = json.loads(raw[16 : 16 + n].decode())
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
     if header.get("activation") != "silu":
         raise ValueError(f"unsupported activation {header.get('activation')!r}")
     sizes = header["layer_sizes"]
+    if not isinstance(sizes, list) or not all(type(s) is int and s >= 1 for s in sizes):
+        raise ValueError(f"layer_sizes must be a list of positive integers, got {sizes!r}")
     offset = 16 + n
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

@@ -2,13 +2,17 @@
 
 Everything here is computed from first principles with dense linear algebra
 or quadrature, deliberately avoiding the package's own responsibility and
-solver code so the tests remain a genuine cross-check.
+solver code so the tests remain a genuine cross-check.  The one exception is
+``cfm_loss``, the batch harness the gradient checks put around the network's
+own backward pass, which is what they test.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve, solve_triangular
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
+
+from flower_lab.mlp import MlpWorkspace
 
 
 def mixture_density(weights, means, cov, x):
@@ -192,6 +196,30 @@ def posterior_product_on_grid(weights, means, cov, h_dense, noise_std, y, points
     lik = np.exp(-0.5 * np.sum(resid * resid, axis=-1) / s2)
     lik /= (2.0 * np.pi * s2) ** (m / 2.0)
     return prior_vals * lik
+
+
+def cfm_loss(mlp, x0s, x1s, ts):
+    """Conditional flow-matching loss and parameter gradients on one batch.
+
+    The harness around the network's own backward pass, which is what the
+    gradient checks test: interpolates x_t = (1 - t) x0 + t x1, feeds
+    (x_t, t) through the network and regresses onto x1 - x0.  Returns
+    (loss, grads) with grads a list of (dW, db) pairs aligned with the
+    network layers.
+    """
+    x0s = np.asarray(x0s, dtype=mlp.dtype)
+    x1s = np.asarray(x1s, dtype=mlp.dtype)
+    ts = np.asarray(ts, dtype=mlp.dtype).reshape(-1)
+    if x0s.shape != x1s.shape or x0s.shape[0] != ts.shape[0]:
+        raise ValueError("batch shapes disagree")
+    if np.any(ts < 0) or np.any(ts > 1):
+        raise ValueError("times must lie in [0, 1]")
+    tcol = ts[:, None]
+    inp = np.concatenate([(1.0 - tcol) * x0s + tcol * x1s, tcol], axis=1)
+    ws = MlpWorkspace(mlp, len(x0s))
+    loss = ws.loss_and_grad(inp, x1s - x0s)
+    grads = [(dw.copy(), db.copy()) for dw, db in zip(ws.grad_w, ws.grad_b)]
+    return loss, grads
 
 
 def brute_force_min_pairing_cost(x0s, x1s):

@@ -16,7 +16,6 @@ from flower_lab.flow import (
     AnalyticGmmField,
     IndependentCoupling,
     MinibatchOTCoupling,
-    cfm_loss,
     euler_sample,
     pairing_cost,
     standard_normal_sampler,
@@ -51,6 +50,7 @@ from flower_lab.operators import (
 from conftest import TOY_COV, TOY_MEANS, TOY_WEIGHTS
 from oracles import (
     assignment_by_scipy,
+    cfm_loss,
     conditional_mean_by_quadrature,
     covariance_standard_errors,
     mean_standard_errors,

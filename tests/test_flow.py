@@ -11,7 +11,6 @@ from flower_lab.flow import (
     TrainConfig,
     TrainingDivergedError,
     _squared_distances,
-    cfm_loss,
     euler_sample,
     pairing_cost,
     standard_normal_sampler,
@@ -24,6 +23,7 @@ from flower_lab.mlp import Mlp
 from oracles import (
     assignment_by_scipy,
     brute_force_min_pairing_cost,
+    cfm_loss,
     squared_distance_matrix,
 )
 

@@ -4,6 +4,8 @@ import dataclasses
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,6 +16,8 @@ import pytest
 from flower_lab import cli, flower
 from flower_lab.cli import fmt_float, main
 from flower_lab.config import ConfigError, load_config
+from flower_lab.flow import standard_normal_sampler, train_cfm
+from flower_lab.flower import run_batch
 from flower_lab.mlp import Mlp, load_checkpoint, save_checkpoint
 from flower_lab.operators import DenseOperator
 
@@ -144,6 +148,26 @@ class TestConfigErrors:
         missing = tmp_path / "nope.cfg"
         assert main(["solve", "--config", str(missing)]) == cli.EXIT_CONFIG
         assert str(missing) in capsys.readouterr().err
+
+    def test_unreadable_config_is_config_error(self, mini_config, capsys, monkeypatch):
+        monkeypatch.setattr(Path, "read_bytes", io_error)
+        assert main(["solve", "--config", str(mini_config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot read config file {mini_config}: Input/output error\n"
+
+    def test_module_entry_point_reports_one_line(self, tmp_path):
+        """python -m flower_lab, in a fresh interpreter: exit 2, one line, no traceback."""
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "flower_lab", "solve", "--config", "missing.cfg"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == cli.EXIT_CONFIG
+        assert [ln.startswith("config error: ") for ln in done.stderr.splitlines()] == [True]
+        assert "Traceback" not in done.stderr
 
     def test_dimension_mismatch_is_config_error(self, tmp_path):
         bad = MINI_TOY.replace("h = [1.5, 1.5]", "h = [1.5, 1.5, 0.0]")
@@ -616,6 +640,20 @@ class TestSamplePrior:
         assert len(lines) == 3 + 40
 
 
+def checkpoint_bytes(header) -> bytes:
+    """A checkpoint file's magic and JSON header, with no parameters after it."""
+    blob = json.dumps(header).encode()
+    return b"FLWRMLP1" + len(blob).to_bytes(8, "little") + blob
+
+
+UNUSABLE_CHECKPOINTS = {
+    "corrupt": b"this is not a checkpoint",
+    "header_not_object": checkpoint_bytes([3, 16, 2]),
+    "bad_layer_sizes": checkpoint_bytes({"activation": "silu", "layer_sizes": "ab"}),
+    "unreadable": b"",  # its read fails
+}
+
+
 class TestTrain:
     def test_checkpoint_and_loss_curve(self, mini_config, tmp_path):
         out = tmp_path / "trained"
@@ -646,31 +684,53 @@ class TestTrain:
         assert main(["solve", "--config", str(path), "--out", str(solve_out), "--quiet"]) == 0
         assert (solve_out / "flower_samples.csv").exists()
 
-    def test_solve_seed_reseeds_in_process_trainer(self, tmp_path):
-        """With kind = train, solve --seed N trains exactly what train --seed N does."""
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_solve_on_the_checkpoint_samples_the_trained_field(self, tmp_path, dtype):
+        """train --seed N, then solve --seed N with kind = mlp on its checkpoint, samples
+        exactly what run_batch does on the field train_cfm returns in memory."""
+        text = MINI_TOY.replace("dtype = float64", f"dtype = {dtype}")
+        path = tmp_path / "train.cfg"
+        path.write_text(text)
+        trained, out = tmp_path / "trained", tmp_path / "solved"
+        assert main(["train", "--config", str(path), "--out", str(trained), "--seed", "4"]) == 0
+        ckpt = trained / "checkpoint.flw"
+        path.write_text(text.replace("kind = analytic", f"kind = mlp\ncheckpoint = {ckpt}"))
+        assert main(["solve", "--config", str(path), "--out", str(out), "--seed", "4"]) == 0
+        lines = read_csv_body(out / "flower_samples.csv")[3:]
+        written = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines])
+
+        cfg = load_config(path, seed_override=4)
+        dim = cfg.prior.dim
+        field, _ = train_cfm(
+            cfg.prior.sample, standard_normal_sampler(dim), cfg.coupling(), cfg.train, dim=dim
+        )
+        assert cfg.solver.n_avg == 1
+        np.testing.assert_array_equal(
+            written, run_batch(field, cfg.observation, cfg.solver, cfg.n_samples)
+        )
+
+    def test_field_kind_train_is_config_error(self, tmp_path, capsys):
+        """Training happens in train alone; solve reads its checkpoint with kind = mlp."""
         path = tmp_path / "train_field.cfg"
         path.write_text(MINI_TOY.replace("kind = analytic", "kind = train"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+        assert "[field] unknown kind 'train'" in capsys.readouterr().err
+        assert not out.exists()
 
-        def checkpoint(verb, seed):
-            out = tmp_path / f"{verb}-{seed}"
-            args = [verb, "--config", str(path), "--out", str(out), "--seed", str(seed), "--quiet"]
-            assert main(args) == 0
-            return (out / "checkpoint.flw").read_bytes()
-
-        solved = {seed: checkpoint("solve", seed) for seed in (1, 2)}
-        assert solved[1] != solved[2]
-        for seed in (1, 2):
-            assert solved[seed] == checkpoint("train", seed)
-
-    @pytest.mark.parametrize("defect", ["corrupt", "wrong_dimension"])
-    def test_unusable_checkpoint_is_config_error(self, tmp_path, capsys, defect):
+    @pytest.mark.parametrize(
+        "defect", ["corrupt", "wrong_dimension", "header_not_object", "bad_layer_sizes", "unreadable"]
+    )
+    def test_unusable_checkpoint_is_config_error(self, tmp_path, capsys, monkeypatch, defect):
         """A checkpoint that cannot drive the prior's field exits 2 before sampling."""
         ckpt = tmp_path / "checkpoint.flw"
-        if defect == "corrupt":
-            ckpt.write_bytes(b"this is not a checkpoint")
-        else:
+        if defect == "wrong_dimension":
             # a field on R^3 (4 -> 3) against the mini toy's 2-D prior
             save_checkpoint(Mlp.initialize([4, 8, 3], np.random.default_rng(0)), ckpt)
+        else:
+            ckpt.write_bytes(UNUSABLE_CHECKPOINTS[defect])
+        if defect == "unreadable":
+            monkeypatch.setattr(cli, "load_checkpoint", io_error)
         path = tmp_path / "mlp.cfg"
         path.write_text(MINI_TOY.replace("kind = analytic", f"kind = mlp\ncheckpoint = {ckpt}"))
         out = tmp_path / "out"
@@ -715,8 +775,15 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG
 
 
+DISK_FULL = "[Errno 28] No space left on device"
+
+
 def disk_full(*args, **kwargs):
     raise OSError(28, "No space left on device")
+
+
+def io_error(*args, **kwargs):
+    raise OSError(5, "Input/output error")
 
 
 class TestStagedOutput:
@@ -743,29 +810,40 @@ class TestStagedOutput:
         assert moved[-1] == "metrics.json"
         assert sorted(moved) == sorted(p.name for p in out.iterdir())
 
-    def test_interrupted_train_keeps_the_earlier_files(self, mini_config, tmp_path, monkeypatch):
+    def test_interrupted_train_keeps_the_earlier_files(
+        self, mini_config, tmp_path, monkeypatch, capsys
+    ):
         out = tmp_path / "trained"
         argv = ["train", "--config", str(mini_config), "--out", str(out), "--quiet"]
         assert main(argv) == 0
         earlier = {p.name: p.read_bytes() for p in out.iterdir()}
         assert sorted(earlier) == ["checkpoint.flw", "loss.csv"]
         monkeypatch.setattr(cli, "write_loss_csv", disk_full)
-        with pytest.raises(OSError, match="No space left"):
-            main(argv + ["--seed", "9"])  # another seed: another checkpoint
+        assert main(argv + ["--seed", "9"]) == cli.EXIT_OUTPUT  # another seed: another checkpoint
+        assert capsys.readouterr().err == f"output failure: {out}: {DISK_FULL}\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
-    @pytest.mark.parametrize("verb", ["posterior-exact", "sample-prior"])
+    @pytest.mark.parametrize(
+        "verb, failing",
+        [
+            ("posterior-exact", "write_samples_csv"),
+            ("sample-prior", "write_samples_csv"),
+            ("sample-prior", "tempfile.mkdtemp"),
+        ],
+        ids=["posterior-exact", "sample-prior", "scratch-directory"],
+    )
     def test_failed_write_removes_the_directories_it_created(
-        self, mini_config, tmp_path, monkeypatch, verb
+        self, mini_config, tmp_path, monkeypatch, capsys, verb, failing
     ):
-        monkeypatch.setattr(cli, "write_samples_csv", disk_full)
+        monkeypatch.setattr(f"flower_lab.cli.{failing}", disk_full)
         out = tmp_path / "new" / "out"
-        with pytest.raises(OSError, match="No space left"):
-            main([verb, "--config", str(mini_config), "--out", str(out), "--quiet"])
+        code = main([verb, "--config", str(mini_config), "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_OUTPUT
+        assert capsys.readouterr().err == f"output failure: {out}: {DISK_FULL}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["mini.cfg"]
 
     def test_failed_run_keeps_files_another_run_placed_under_a_created_parent(
-        self, mini_config, tmp_path, monkeypatch
+        self, mini_config, tmp_path, monkeypatch, capsys
     ):
         """A train into new/a fails after a sample-prior published into new/b."""
         other = tmp_path / "new" / "b"
@@ -777,8 +855,9 @@ class TestStagedOutput:
 
         monkeypatch.setattr(cli, "write_loss_csv", publish_other_then_fail)
         out = tmp_path / "new" / "a"
-        with pytest.raises(OSError, match="No space left"):
-            main(["train", "--config", str(mini_config), "--out", str(out), "--quiet"])
+        code = main(["train", "--config", str(mini_config), "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_OUTPUT
+        assert capsys.readouterr().err == f"output failure: {out}: {DISK_FULL}\n"
         assert not out.exists()
         assert [p.name for p in other.iterdir()] == ["prior_samples.csv"]
 
