@@ -4,8 +4,9 @@ Sections describe the prior, the measurement, the velocity field, the
 solver and the outputs; array values use Python literal syntax.  The
 [train] and [solver] keys are ``TrainConfig``'s and ``FlowerConfig``'s
 fields, read by field type, with the dataclass defaults for keys left out.
-Parsing builds real objects (mixtures, operators, observations) and
-validates all cross-section dimension constraints up front, and a key or
+Parsing builds real objects (mixtures, operators, observations, the
+velocity field and the trainer's coupling) and validates all cross-section
+dimension constraints up front, a checkpoint's included, and a key or
 section nothing reads is an error, so a config that parses runs as written.
 """
 
@@ -17,9 +18,16 @@ import hashlib
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .flow import IndependentCoupling, MinibatchOTCoupling, TrainConfig
+from .flow import (
+    AnalyticGmmField,
+    IndependentCoupling,
+    MinibatchOTCoupling,
+    MlpField,
+    TrainConfig,
+)
 from .flower import FlowerConfig
 from .gmm import GaussianMixture, LinearGaussianObservation
+from .mlp import load_checkpoint
 from .operators import (
     Circulant1DOperator,
     DenseOperator,
@@ -46,20 +54,14 @@ class ExperimentConfig:
     sha256: str
     prior: GaussianMixture
     observation: LinearGaussianObservation
-    field_kind: str  # analytic | mlp
-    checkpoint: Path | None
+    field: AnalyticGmmField | MlpField  # an MlpField is loaded from the checkpoint
     train: TrainConfig | None
-    coupling_name: str
+    coupling: IndependentCoupling | MinibatchOTCoupling
     solver: FlowerConfig
     n_samples: int
     baseline_exact_posterior: bool
     baseline_unconditional: bool
     output_dir: Path
-
-    def coupling(self):
-        if self.coupling_name == "minibatch_ot":
-            return MinibatchOTCoupling()
-        return IndependentCoupling()
 
 
 def _contains_bool(val):
@@ -162,8 +164,8 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
     ``out_override``, relative to the working directory, the output directory.
 
     Raises:
-        ConfigError: the file is missing or unreadable, any section is
-            invalid, or a key or section is one that nothing reads.
+        ConfigError: the file or the checkpoint is missing or unusable, any
+            section is invalid, or a key or section is one that nothing reads.
     """
     path = Path(path)
     if not path.is_file():
@@ -220,23 +222,33 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
 
     field_sec = section("field")
     field_kind = field_sec.string("kind", required=True)
-    if field_kind not in ("analytic", "mlp"):
-        raise ConfigError(f"{path}: [field] unknown kind {field_kind!r}")
-    checkpoint = None
-    if field_kind == "mlp":
+    if field_kind == "analytic":
+        field = AnalyticGmmField(prior)
+    elif field_kind == "mlp":
         checkpoint = path.parent / field_sec.string("checkpoint", required=True)
         if not checkpoint.is_file():
             raise ConfigError(f"{path}: [field] checkpoint not found: {checkpoint}")
+        try:
+            field = MlpField(load_checkpoint(checkpoint)[0])
+        except (OSError, ValueError, KeyError) as exc:
+            raise ConfigError(f"{path}: [field] unusable checkpoint: {exc}") from exc
+        if field.dim != prior.dim:
+            raise ConfigError(
+                f"{path}: [field] checkpoint holds a field on R^{field.dim}, "
+                f"but the prior lives on R^{prior.dim}"
+            )
+    else:
+        raise ConfigError(f"{path}: [field] unknown kind {field_kind!r}")
 
     train_sec = section("train", required=False)
     train = None
-    coupling_name = "independent"
+    coupling = IndependentCoupling()
     if train_sec is not None:
         coupling_name = train_sec.string("coupling", default="independent")
-        if coupling_name not in ("independent", "minibatch_ot"):
-            raise ConfigError(
-                f"{path}: [train] unknown coupling {coupling_name!r}"
-            )
+        if coupling_name == "minibatch_ot":
+            coupling = MinibatchOTCoupling()
+        elif coupling_name != "independent":
+            raise ConfigError(f"{path}: [train] unknown coupling {coupling_name!r}")
         train = _build(TrainConfig, train_sec, reseed)
         if coupling_name == "minibatch_ot" and train.batch_size > _OT_MAX_BATCH:
             mib = train.batch_size**2 * 8 / 2**20
@@ -290,10 +302,9 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
         sha256=sha256,
         prior=prior,
         observation=observation,
-        field_kind=field_kind,
-        checkpoint=checkpoint,
+        field=field,
         train=train,
-        coupling_name=coupling_name,
+        coupling=coupling,
         solver=solver,
         n_samples=n_samples,
         baseline_exact_posterior=baseline_exact,

@@ -260,8 +260,8 @@ class TrainConfig:
             raise ValueError("batch_size and steps must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         sizes = self.hidden_sizes
         if not isinstance(sizes, (tuple, list)) or not all(
             type(n) is int and n >= 1 for n in sizes

@@ -287,6 +287,15 @@ class TestTrainCfm:
         assert losses.shape == (300,)
         assert losses[-50:].mean() < losses[:20].mean()
 
+    @pytest.mark.parametrize(
+        "learning_rate",
+        [0.0, -1e-3, float("nan"), float("inf"), 10**400],
+        ids=["zero", "negative", "nan", "inf", "int_past_the_double_range"],
+    )
+    def test_learning_rate_must_be_finite_and_positive(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            self.small_cfg(learning_rate=learning_rate)
+
     def test_divergence_raises_with_step(self, toy_prior):
         cfg = self.small_cfg(steps=200, learning_rate=1e12, dtype="float32")
         with pytest.raises(TrainingDivergedError) as err:

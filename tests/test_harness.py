@@ -13,10 +13,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from flower_lab import cli, flower
+from flower_lab import cli, config, flower
 from flower_lab.cli import fmt_float, main
 from flower_lab.config import ConfigError, load_config
-from flower_lab.flow import standard_normal_sampler, train_cfm
+from flower_lab.flow import (
+    AnalyticGmmField,
+    IndependentCoupling,
+    MinibatchOTCoupling,
+    standard_normal_sampler,
+    train_cfm,
+)
 from flower_lab.flower import run_batch
 from flower_lab.mlp import Mlp, load_checkpoint, save_checkpoint
 from flower_lab.operators import DenseOperator
@@ -131,9 +137,11 @@ def test_configs_load_the_same_settings(name, tmp_path):
     path = config_file(name, tmp_path)
     cfg = load_config(path)
     train, coupling, solver, n_samples, baselines, out = LOADED[name]
-    assert (cfg.field_kind, cfg.checkpoint) == ("analytic", None)
+    assert type(cfg.field) is AnalyticGmmField
+    assert cfg.field.prior is cfg.prior
     assert (cfg.train and dataclasses.asdict(cfg.train)) == train
-    assert cfg.coupling_name == coupling
+    couplings = {"independent": IndependentCoupling, "minibatch_ot": MinibatchOTCoupling}
+    assert type(cfg.coupling) is couplings[coupling]
     assert dataclasses.astuple(cfg.solver) == solver
     assert cfg.n_samples == n_samples
     assert (cfg.baseline_exact_posterior, cfg.baseline_unconditional) == baselines
@@ -248,10 +256,15 @@ class TestConfigErrors:
             ("hidden_sizes", "hidden_sizes = (16, 16)", "hidden_sizes = [0]"),
             ("hidden_sizes", "hidden_sizes = (16, 16)", "hidden_sizes = (16, True)"),
             ("dtype", "dtype = float64", "dtype = foo"),
+            ("learning_rate", "learning_rate = 0.001", "learning_rate = 1e400"),
+            pytest.param(
+                "learning_rate", "learning_rate = 0.001", f"learning_rate = {10**400}",
+                id="learning_rate-int_past_the_double_range",
+            ),
         ],
     )
     def test_train_network_is_validated(self, tmp_path, key, old, new):
-        """A network that cannot be built is a config error, not a traceback mid-training."""
+        """A [train] value the trainer cannot use is a config error, not a failure mid-training."""
         path = tmp_path / "net.cfg"
         path.write_text(MINI_TOY.replace(old, new))
         with pytest.raises(ConfigError, match=key):
@@ -562,7 +575,7 @@ class TestSolve:
             def eval(self, x, t):
                 return np.full_like(x, np.nan if t == 3 / 25 else 0.0)
 
-        monkeypatch.setattr(cli, "AnalyticGmmField", NanAtStep3)
+        monkeypatch.setattr(config, "AnalyticGmmField", NanAtStep3)
         out = tmp_path / "nan"
         assert main(["solve", "--config", str(mini_config), "--out", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err
@@ -702,7 +715,7 @@ class TestTrain:
         cfg = load_config(path, seed_override=4)
         dim = cfg.prior.dim
         field, _ = train_cfm(
-            cfg.prior.sample, standard_normal_sampler(dim), cfg.coupling(), cfg.train, dim=dim
+            cfg.prior.sample, standard_normal_sampler(dim), cfg.coupling, cfg.train, dim=dim
         )
         assert cfg.solver.n_avg == 1
         np.testing.assert_array_equal(
@@ -718,11 +731,15 @@ class TestTrain:
         assert "[field] unknown kind 'train'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["solve", "train", "posterior-exact", "sample-prior"])
     @pytest.mark.parametrize(
         "defect", ["corrupt", "wrong_dimension", "header_not_object", "bad_layer_sizes", "unreadable"]
     )
-    def test_unusable_checkpoint_is_config_error(self, tmp_path, capsys, monkeypatch, defect):
-        """A checkpoint that cannot drive the prior's field exits 2 before sampling."""
+    def test_unusable_checkpoint_is_config_error(
+        self, tmp_path, capsys, monkeypatch, defect, verb
+    ):
+        """A checkpoint that cannot drive the prior's field fails the config: every verb
+        exits 2 before it writes anything."""
         ckpt = tmp_path / "checkpoint.flw"
         if defect == "wrong_dimension":
             # a field on R^3 (4 -> 3) against the mini toy's 2-D prior
@@ -730,11 +747,13 @@ class TestTrain:
         else:
             ckpt.write_bytes(UNUSABLE_CHECKPOINTS[defect])
         if defect == "unreadable":
-            monkeypatch.setattr(cli, "load_checkpoint", io_error)
+            monkeypatch.setattr(config, "load_checkpoint", io_error)
         path = tmp_path / "mlp.cfg"
         path.write_text(MINI_TOY.replace("kind = analytic", f"kind = mlp\ncheckpoint = {ckpt}"))
+        with pytest.raises(ConfigError, match=r"\[field\] (unusable checkpoint|checkpoint holds)"):
+            load_config(path)
         out = tmp_path / "out"
-        assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+        assert main([verb, "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
