@@ -13,10 +13,11 @@ Output contracts, fixed for regression testing:
     solver step, the trainer, the exact posterior or the metrics (NaN or
     infinity never reaches metrics.json), 4 an OSError while writing output.
 
-solve draws every sample in one lockstep batch; with record_trajectory the
-first n_trajectories rows of that batch (raw runs, before n_avg averaging)
-are written out stage by stage.  Everything but the solver draws from a
-SeedSequence child k of the seed, so no stream is shared with the solver:
+solve draws every sample in one lockstep batch; with record_trajectory a
+run_batch observer copies the first n_trajectories rows of that batch (raw
+runs, before n_avg averaging) at every step, written out stage by stage.
+Everything but the solver draws from a SeedSequence child k of the seed, so
+no stream is shared with the solver:
 k = 1 the exact posterior samples (solve and posterior-exact write the same
 file), 2 the sliced-W2 projections, 3 the unconditional baseline, 5
 sample-prior; 4 is reserved.
@@ -85,15 +86,14 @@ def write_samples_csv(path, samples, cfg, seed):
     _write_csv(path, cfg, seed, ["run_id", *_dims(samples.shape[1])], rows)
 
 
-def write_trajectory_csv(path, record, row, cfg, seed):
-    """The stages of trajectory `row` of a TrajectoryRecord, step by step."""
-    stage_arrays = (record.x_t, record.x1_hat, record.mu, record.x1_tilde)
+def write_trajectory_csv(path, steps, row, cfg, seed):
+    """The stages of trajectory `row`, from one (t, x_t, x1_hat, mu, x1_tilde) a step."""
     rows = (
-        ((str(k), fmt_float(t), stage), arr[k, row])
-        for k, t in enumerate(record.t)
-        for stage, arr in zip(TRAJECTORY_STAGES, stage_arrays)
+        ((str(k), fmt_float(t), stage), arr[row])
+        for k, (t, *stages) in enumerate(steps)
+        for stage, arr in zip(TRAJECTORY_STAGES, stages)
     )
-    _write_csv(path, cfg, seed, ["step", "t", "stage", *_dims(record.x_t.shape[2])], rows)
+    _write_csv(path, cfg, seed, ["step", "t", "stage", *_dims(steps[0][1].shape[1])], rows)
 
 
 def write_loss_csv(path, losses, cfg, seed):
@@ -194,13 +194,19 @@ def cmd_solve(args) -> int:
             f"flower: N={solver.n_steps} gamma={solver.gamma} "
             f"n_samples={n} n_avg={solver.n_avg}",
         )
-        raw = run_batch(field, obs, solver, n * solver.n_avg)
-        if solver.n_trajectories:
-            raw, record = raw
-            for i in range(solver.n_trajectories):
-                write_trajectory_csv(
-                    scratch / f"trajectory_run_{i:03d}.csv", record, i, cfg, solver.seed
-                )
+        n_rec, steps = cfg.n_trajectories, []
+
+        def record(k, t, *stages):  # copies: run_batch passes its live arrays
+            steps.append((t, *(a[:n_rec].copy() for a in stages)))
+
+        # observe= only when recording: perfbench's run_batch wrapper takes no more arguments
+        if n_rec:
+            raw = run_batch(field, obs, solver, n * solver.n_avg, observe=record)
+        else:
+            raw = run_batch(field, obs, solver, n * solver.n_avg)
+        for i in range(n_rec):
+            path = scratch / f"trajectory_run_{i:03d}.csv"
+            write_trajectory_csv(path, steps, i, cfg, solver.seed)
         samples = raw.reshape(n, solver.n_avg, -1).mean(axis=1)
         write_samples_csv(scratch / "flower_samples.csv", samples, cfg, solver.seed)
         if cfg.baseline_exact_posterior:

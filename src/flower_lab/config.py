@@ -59,6 +59,7 @@ class ExperimentConfig:
     coupling: IndependentCoupling | MinibatchOTCoupling
     solver: FlowerConfig
     n_samples: int
+    n_trajectories: int  # the recorded rows; 0 without record_trajectory
     baseline_exact_posterior: bool
     baseline_unconditional: bool
     output_dir: Path
@@ -165,8 +166,11 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
 
     Raises:
         ConfigError: the file or the checkpoint is missing or unusable, any
-            section is invalid, or a key or section is one that nothing reads.
+            section is invalid, a key or section is one that nothing reads, or
+            ``out_override`` is empty.
     """
+    if out_override == "":
+        raise ConfigError("--out: empty output directory")
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -271,8 +275,7 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
         raise ConfigError(f"{path}: [solver] n_samples must be >= 2")
     record = solver_sec.flag("record_trajectory")
     n_trajectories = solver_sec.integer("n_trajectories", default=8)
-    n_traj = n_trajectories if record else 0  # FlowerConfig's 0 records nothing
-    solver = _build(FlowerConfig, solver_sec, reseed, noise_std=noise_std, n_trajectories=n_traj)
+    solver = _build(FlowerConfig, solver_sec, reseed, noise_std=noise_std)
     # the recorded trajectories are the first rows of the sampled batch
     n_runs = n_samples * solver.n_avg
     if record and not 1 <= n_trajectories <= n_runs:
@@ -307,6 +310,7 @@ def load_config(path, seed_override: int | None = None, out_override=None) -> Ex
         coupling=coupling,
         solver=solver,
         n_samples=n_samples,
+        n_trajectories=n_trajectories if record else 0,
         baseline_exact_posterior=baseline_exact,
         baseline_unconditional=baseline_uncond,
         output_dir=out_dir,

@@ -23,8 +23,8 @@ The step functions accept a single state ``(d,)`` or a lockstep batch
 ``(n, d)``.  ``run_batch`` is the one driver and the one place that
 composes step 2, drawing kappa only for gamma = 1.  It runs those step
 functions on a batch of ``n`` trajectories in lockstep from one stream, and
-can record the first rows of every stage.  A non-finite state stops it at
-the step and stage where it appears.
+hands every step's stages to an optional observer.  A non-finite state stops
+it at the step and stage where it appears.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .operators import solve_spd
 
 __all__ = [
     "FlowerConfig",
-    "TrajectoryRecord",
     "FlowerRunError",
     "nu",
     "destination_estimate",
@@ -67,7 +66,6 @@ class FlowerConfig:
     noise_std: float
     seed: int = 0
     n_avg: int = 1
-    n_trajectories: int = 0
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -80,26 +78,6 @@ class FlowerConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_avg < 1:
             raise ValueError("n_avg must be >= 1")
-        if self.n_trajectories < 0:
-            raise ValueError("n_trajectories must be >= 0")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Per-step snapshots of the first rows of a batch, t[k] = k/N.
-
-    Each stage array has shape (n_steps, n_trajectories, d): entry [k, i]
-    is row i of that stage at step k.
-    """
-
-    t: np.ndarray
-    x_t: np.ndarray
-    x1_hat: np.ndarray
-    mu: np.ndarray
-    x1_tilde: np.ndarray
-
-    def __len__(self):
-        return self.t.shape[0]
 
 
 class FlowerRunError(RuntimeError):
@@ -223,30 +201,27 @@ def _require_finite(k: int, arr: np.ndarray, stage: str):
         raise FlowerRunError(k, FloatingPointError(f"non-finite {stage} output"))
 
 
-def _iterate(field, obs, cfg, rng, x):
+def _iterate(field, obs, cfg, rng, x, observe):
     """The lockstep iteration of a batch x of shape (n, d)."""
-    n_steps, n_rec = cfg.n_steps, cfg.n_trajectories
-    snapshots = []
+    n_steps = cfg.n_steps
     for k in range(n_steps):
         t = k / n_steps
         dt = (k + 1) / n_steps - t
+        x_t = x
         try:
-            x1_hat = destination_estimate(field, x, t)
+            x1_hat = destination_estimate(field, x_t, t)
             _require_finite(k, x1_hat, "field (x1_hat)")
             mu = refine_mean(x1_hat, obs, t)
             x1_tilde = mu + sample_kappa(obs, t, rng, mu.shape[0]) if cfg.gamma == 1 else mu
             _require_finite(k, x1_tilde, "prox (x1_tilde)")
-            if n_rec:
-                # copies, so a record does not keep every step's (n, d) arrays alive
-                snapshots.append((t, *(a[:n_rec].copy() for a in (x, x1_hat, mu, x1_tilde))))
             x = time_progress(x1_tilde, t, dt, rng)
             _require_finite(k, x, "progression (x_t)")
         except FlowerRunError:
             raise
         except Exception as exc:
             raise FlowerRunError(k, exc) from exc
-    if n_rec:
-        return x, TrajectoryRecord(*(np.stack(col) for col in zip(*snapshots)))
+        if observe is not None:
+            observe(k, t, x_t, x1_hat, mu, x1_tilde)
     return x
 
 
@@ -256,7 +231,8 @@ def run_batch(
     cfg: FlowerConfig,
     n_runs: int,
     rng: np.random.Generator | None = None,
-):
+    observe=None,
+) -> np.ndarray:
     """n_runs lockstep trajectories from fresh source noise to posterior draws.
 
     Rows share the operator's factorization and draw from one stream (by
@@ -264,19 +240,21 @@ def run_batch(
     the kappa draw when gamma = 1 and the progression noise), so the output
     is deterministic given (cfg.seed, n_runs).  The solver assumes
     cfg.noise_std, whatever the observation's.  Returns x1 of shape
-    (n_runs, d), or (x1, TrajectoryRecord) of the first cfg.n_trajectories
-    rows when that is above 0.
+    (n_runs, d).
+
+    ``observe(k, t, x_t, x1_hat, mu, x1_tilde)``, if given, is called once
+    per step k after its finiteness checks, with t = k/N and the live batch
+    arrays of that step: it must copy whatever it keeps.  An error it raises
+    propagates as itself.
 
     Raises:
         FlowerRunError: a step failed or produced a non-finite state.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if cfg.n_trajectories > n_runs:
-        raise ValueError(f"cannot record {cfg.n_trajectories} of {n_runs} runs")
     if cfg.noise_std != obs.noise_std:
         obs = replace(obs, noise_std=cfg.noise_std)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     x0 = rng.standard_normal((n_runs, obs.operator.in_dim))
-    return _iterate(field, obs, cfg, rng, x0)
+    return _iterate(field, obs, cfg, rng, x0, observe)

@@ -71,13 +71,13 @@ def covariance_logdet(s) -> float | None:
     return float(logdet)
 
 
-def metric_report(metric, value, n_a, n_b, n_projections=None, seed=None) -> dict:
+def metric_report(metric, value, n_a, n_b, n_projections, seed) -> dict:
     """The JSON-serializable record shape used by the harness."""
     return {
         "metric": metric,
         "value": float(value),
         "n_a": int(n_a),
         "n_b": int(n_b),
-        "n_projections": None if n_projections is None else int(n_projections),
-        "seed": None if seed is None else int(seed),
+        "n_projections": int(n_projections),
+        "seed": int(seed),
     }

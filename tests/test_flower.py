@@ -584,25 +584,40 @@ class TestRun:
         other = FlowerConfig(n_steps=20, gamma=1, noise_std=0.25, seed=8)
         assert np.any(run_batch(field, toy1_obs, cfg, 4) != run_batch(field, toy1_obs, other, 4))
 
-    def test_trajectory_record_shape_and_times(self, toy_prior, toy1_obs):
+    def test_observer_sees_every_step_in_order(self, toy_prior, toy1_obs):
+        """observe(k, t, x_t, x1_hat, mu, x1_tilde) once a step, t = k/N, from the source noise."""
         field = AnalyticGmmField(toy_prior)
-        cfg = FlowerConfig(n_steps=16, gamma=1, noise_std=0.25, seed=3, n_trajectories=3)
-        x1, record = run_batch(field, toy1_obs, cfg, 5)
-        assert len(record) == 16
-        np.testing.assert_allclose(record.t, np.arange(16) / 16, rtol=0)
-        for arr in (record.x_t, record.x1_hat, record.mu, record.x1_tilde):
-            assert arr.shape == (16, 3, 2)
-        # the record follows the first rows of the batch from their source noise
-        np.testing.assert_array_equal(
-            record.x_t[0], np.random.default_rng(3).standard_normal((5, 2))[:3]
-        )
+        cfg = FlowerConfig(n_steps=16, gamma=1, noise_std=0.25, seed=3)
+        seen = []
+
+        def observe(k, t, *stages):
+            seen.append((k, t, *(a.copy() for a in stages)))
+
+        x1 = run_batch(field, toy1_obs, cfg, 5, observe=observe)
+        assert [(k, t) for k, t, *_ in seen] == [(k, k / 16) for k in range(16)]
+        for _, _, *stages in seen:
+            assert [a.shape for a in stages] == [(5, 2)] * 4
+        # step 0 starts from the first draws of default_rng(seed)
+        np.testing.assert_array_equal(seen[0][2], np.random.default_rng(3).standard_normal((5, 2)))
         # the last refinement is the returned sample (terminal step is exact)
-        np.testing.assert_array_equal(record.x1_tilde[-1], x1[:3])
-        # recording changes nothing in the samples
-        plain = FlowerConfig(n_steps=16, gamma=1, noise_std=0.25, seed=3)
-        np.testing.assert_array_equal(run_batch(field, toy1_obs, plain, 5), x1)
-        with pytest.raises(ValueError, match="record"):
-            run_batch(field, toy1_obs, cfg, 2)
+        assert seen[-1][5].tobytes() == x1.tobytes()
+        # observing changes nothing in the samples
+        assert run_batch(field, toy1_obs, cfg, 5).tobytes() == x1.tobytes()
+
+    def test_observer_error_propagates_as_itself(self, toy_prior, toy1_obs):
+        """An observer's error is not a step failure, so it is not wrapped in FlowerRunError."""
+        cfg = FlowerConfig(n_steps=10, gamma=1, noise_std=0.25, seed=1)
+
+        class Stop(Exception):
+            pass
+
+        def observe(k, *stages):
+            if k == 3:
+                raise Stop(k)
+
+        with pytest.raises(Stop) as err:
+            run_batch(AnalyticGmmField(toy_prior), toy1_obs, cfg, 4, observe=observe)
+        assert err.value.args == (3,)
 
     @pytest.mark.parametrize("noise_std", [1e-200, 1e-160, np.inf])
     def test_solver_noise_outside_the_float_range_fails_before_step_0(self, toy1_obs, noise_std):

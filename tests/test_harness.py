@@ -90,24 +90,24 @@ TOY1_TRAIN = dict(
 SHORT_TRAIN = {**TOY1_TRAIN, "batch_size": 256, "steps": 20}
 SAMPLED = (True, False)  # exact-posterior baseline only
 # what each config loads to: [train], coupling, [solver] (n_steps, gamma, noise_std,
-# seed, n_avg, n_trajectories), n_samples, both baselines and the output directory
+# seed, n_avg), n_samples, n_trajectories, both baselines and the output directory
 LOADED = {
-    "toy1": (TOY1_TRAIN, "independent", (1000, 1, 0.25, 42, 1, 0), 5000, SAMPLED, "out/toy1"),
-    "toy2": (None, "independent", (1000, 1, 0.75, 43, 1, 0), 5000, SAMPLED, "out/toy2"),
-    "inpaint16": (None, "independent", (1000, 0, 0.001, 11, 1, 0), 64, SAMPLED, "out/inpaint16"),
-    "blur32": (None, "independent", (500, 1, 0.05, 17, 1, 0), 128, SAMPLED, "out/blur32"),
+    "toy1": (TOY1_TRAIN, "independent", (1000, 1, 0.25, 42, 1), 5000, 0, SAMPLED, "out/toy1"),
+    "toy2": (None, "independent", (1000, 1, 0.75, 43, 1), 5000, 0, SAMPLED, "out/toy2"),
+    "inpaint16": (None, "independent", (1000, 0, 0.001, 11, 1), 64, 0, SAMPLED, "out/inpaint16"),
+    "blur32": (None, "independent", (500, 1, 0.05, 17, 1), 128, 0, SAMPLED, "out/blur32"),
     "mini": (
         dict(batch_size=64, steps=40, learning_rate=0.001, seed=3, hidden_sizes=(16, 16),
              dtype="float64"),
-        "independent", (25, 1, 0.25, 5, 1, 0), 40, (True, True), "out",
+        "independent", (25, 1, 0.25, 5, 1), 40, 0, (True, True), "out",
     ),
-    "blur128": (None, "independent", (100, 1, 0.05, 1, 1, 0), 16, SAMPLED, "out/blur128"),
-    "toy1_small": (TOY1_TRAIN, "independent", (1000, 1, 0.25, 42, 1, 0), 64, SAMPLED, "out/toy1"),
+    "blur128": (None, "independent", (100, 1, 0.05, 1, 1), 16, 0, SAMPLED, "out/blur128"),
+    "toy1_small": (TOY1_TRAIN, "independent", (1000, 1, 0.25, 42, 1), 64, 0, SAMPLED, "out/toy1"),
     "train_independent": (
-        SHORT_TRAIN, "independent", (1000, 1, 0.25, 42, 1, 0), 5000, SAMPLED, "out/toy1"
+        SHORT_TRAIN, "independent", (1000, 1, 0.25, 42, 1), 5000, 0, SAMPLED, "out/toy1"
     ),
     "train_minibatch_ot": (
-        SHORT_TRAIN, "minibatch_ot", (1000, 1, 0.25, 42, 1, 0), 5000, SAMPLED, "out/toy1"
+        SHORT_TRAIN, "minibatch_ot", (1000, 1, 0.25, 42, 1), 5000, 0, SAMPLED, "out/toy1"
     ),
 }
 
@@ -136,7 +136,7 @@ def test_configs_load_the_same_settings(name, tmp_path):
     """Reading [train] and [solver] by field type gives each config the values it always had."""
     path = config_file(name, tmp_path)
     cfg = load_config(path)
-    train, coupling, solver, n_samples, baselines, out = LOADED[name]
+    train, coupling, solver, n_samples, n_trajectories, baselines, out = LOADED[name]
     assert type(cfg.field) is AnalyticGmmField
     assert cfg.field.prior is cfg.prior
     assert (cfg.train and dataclasses.asdict(cfg.train)) == train
@@ -144,6 +144,7 @@ def test_configs_load_the_same_settings(name, tmp_path):
     assert type(cfg.coupling) is couplings[coupling]
     assert dataclasses.astuple(cfg.solver) == solver
     assert cfg.n_samples == n_samples
+    assert cfg.n_trajectories == n_trajectories
     assert (cfg.baseline_exact_posterior, cfg.baseline_unconditional) == baselines
     assert cfg.output_dir == path.parent / out
     reseeded = load_config(path, seed_override=9)
@@ -198,7 +199,7 @@ class TestConfigErrors:
         path = tmp_path / "traj.cfg"
         path.write_text(text.replace("n_trajectories = 2", f"n_trajectories = {n_trajectories}"))
         if fits:
-            assert load_config(path).solver.n_trajectories == n_trajectories
+            assert load_config(path).n_trajectories == n_trajectories
             return
         with pytest.raises(ConfigError, match="n_trajectories"):
             load_config(path)
@@ -350,6 +351,14 @@ class TestConfigErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["mini.cfg", "taken"]
         assert taken.read_text() == "an earlier run's file\n"
 
+    @pytest.mark.parametrize("verb", ["train", "solve", "posterior-exact", "sample-prior"])
+    def test_empty_out_option_exits_2(self, mini_config, tmp_path, capsys, verb):
+        """An empty --out is refused, not read as absent: the config's directory stays unmade."""
+        argv = [verb, "--config", str(mini_config), "--out", "", "--quiet"]
+        assert main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --out: empty output directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["mini.cfg"]
+
     @pytest.mark.parametrize("verb", ["solve", "posterior-exact"])
     @pytest.mark.parametrize("section", ["observation", "solver"])
     @pytest.mark.parametrize("noise_std", ["1e-200", "1e-160", "1e400"])
@@ -439,7 +448,7 @@ class TestUnreadKeys:
         path = tmp_path / "traj.cfg"
         path.write_text(text.replace("record_trajectory = false", f"record_trajectory = {record}"))
         recorded = n_trajectories if record == "true" else 0
-        assert load_config(path).solver.n_trajectories == recorded
+        assert load_config(path).n_trajectories == recorded
 
     def test_outputs_directory_is_optional_only_under_out(self, tmp_path):
         path = tmp_path / "noout.cfg"

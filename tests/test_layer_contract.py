@@ -5,7 +5,8 @@ replacing module-level names the CLI calls.  The wrapper here forwards only
 the five public actions of an operator, as such a tracer does, so a solve
 path that reached past them would show up as a changed sample.  A tracer
 also times the solver's steps by replaying a run through the public step
-functions, so the driver must run those same functions.
+functions, so the driver must run those same functions, and its stand-in
+for ``cli.run_batch`` takes only ``(field, obs, cfg, n_runs, rng=None)``.
 """
 
 from collections import Counter
@@ -32,7 +33,7 @@ from flower_lab.operators import (
     MaskOperator,
 )
 
-from conftest import blur_kernel
+from conftest import MINI_TOY, blur_kernel
 
 PUBLIC_ACTIONS = ("apply", "apply_adjoint", "gram_apply", "gram_matrix", "dense_matrix")
 
@@ -145,3 +146,24 @@ def test_driver_runs_the_public_steps(monkeypatch, make_operator, gamma):
 )
 def test_traced_entry_points_exist(owner, name):
     assert callable(getattr(owner, name))
+
+
+def test_solve_calls_run_batch_as_a_tracer_forwards_it(monkeypatch, tmp_path):
+    """A solve that records nothing passes run_batch no argument past rng."""
+    path = tmp_path / "mini.cfg"
+    path.write_text(MINI_TOY)
+
+    def solve(out):
+        return cli.main(["solve", "--config", str(path), "--out", str(tmp_path / out), "--quiet"])
+
+    assert solve("bare") == 0
+    inner = cli.run_batch
+
+    def forwarder(field, obs, cfg, n_runs, rng=None):
+        return inner(field, obs, cfg, n_runs, rng)
+
+    monkeypatch.setattr(cli, "run_batch", forwarder)
+    assert solve("traced") == 0
+    bare, traced = (sorted((tmp_path / d).iterdir()) for d in ("bare", "traced"))
+    assert [p.name for p in traced] == [p.name for p in bare]
+    assert [p.read_bytes() for p in traced] == [p.read_bytes() for p in bare]
