@@ -38,7 +38,8 @@ from .operators import (
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
-# the largest exact-OT batch: its float64 cost matrix is then 512 MiB
+# the largest exact-OT batch: the coupling's whole working set, one float64
+# cost matrix plus O(n), is then 512 MiB
 _OT_MAX_BATCH = 8192
 
 

@@ -117,8 +117,13 @@ class IndependentCoupling:
 # Bellman-Ford sweeps that recover a solved sub-batch's duals
 _OT_COLD_SIZE = 128
 _OT_DUAL_SWEEPS = 30
-# rows per block of a pass over the cost matrix, to keep its temporaries small
-_OT_ROW_BLOCK = 128
+# bytes per temporary of a pass over a cost matrix, in whole rows: 128 rows
+# at batch 256, 16 at batch 2048, so the temporaries stay small beside it
+_OT_BLOCK_BYTES = 256 * 1024
+
+
+def _row_block(n_cols: int) -> int:
+    return max(1, _OT_BLOCK_BYTES // (8 * max(n_cols, 1)))
 
 
 def _squared_distances(x0s, x1s) -> np.ndarray:
@@ -126,18 +131,20 @@ def _squared_distances(x0s, x1s) -> np.ndarray:
     sq0 = np.sum(x0s * x0s, axis=1)[:, None]
     sq1 = np.sum(x1s * x1s, axis=1)[None, :]
     cost = x0s @ x1s.T
-    for lo in range(0, len(cost), _OT_ROW_BLOCK):
-        rows = cost[lo : lo + _OT_ROW_BLOCK]
+    step = _row_block(cost.shape[1])
+    for lo in range(0, len(cost), step):
+        rows = cost[lo : lo + step]
         rows *= 2.0
-        np.subtract(sq0[lo : lo + _OT_ROW_BLOCK] + sq1, rows, out=rows)
+        np.subtract(sq0[lo : lo + step] + sq1, rows, out=rows)
     return cost
 
 
 def _c_transform(cost, u) -> np.ndarray:
     """v_j = min_i (cost_ij - u_i)."""
     v = np.full(cost.shape[1], np.inf)
-    for lo in range(0, len(cost), _OT_ROW_BLOCK):
-        rows = cost[lo : lo + _OT_ROW_BLOCK] - u[lo : lo + _OT_ROW_BLOCK, None]
+    step = _row_block(cost.shape[1])
+    for lo in range(0, len(cost), step):
+        rows = cost[lo : lo + step] - u[lo : lo + step, None]
         np.minimum(v, rows.min(axis=0), out=v)
     return v
 
@@ -197,7 +204,11 @@ class MinibatchOTCoupling:
     sub-batch of at most 128 rows and columns is solved cold, then the
     sub-batch doubles up to n, each level starting from the duals of the
     level before, extended to the new columns by the c-transform.  Each
-    level hands scipy its cost with column j shifted by its dual v_j.  That
+    level builds its cost as a buffer of its own and frees it before the
+    next level's is built, so the working set is one n x n float64 buffer
+    plus O(n).  The duals of the level before come from the new buffer's
+    leading block, which equals that level's cost bit for bit.  The buffer
+    is then shifted in place, column j by its dual v_j, and handed to scipy.  That
     adds the same constant -sum(v) to the cost of every permutation, so the
     optimal permutations are those of the unshifted cost and every level is
     still solved exactly; the duals only shorten scipy's augmenting paths
@@ -219,19 +230,17 @@ class MinibatchOTCoupling:
         """The optimal permutation: row i of x0s pairs with x1s[perm[i]]."""
         # loaded here so that only exact-OT training loads scipy
         linear_sum_assignment = _linear_sum_assignment()
-        cost = _squared_distances(x0s, x1s)
-        n = len(cost)
-        sizes = [n]
+        sizes = [len(x0s)]
         while sizes[-1] > _OT_COLD_SIZE:
             sizes.append((sizes[-1] + 1) // 2)
         m = sizes.pop()
-        _, cols = linear_sum_assignment(cost[:m, :m])
+        _, cols = linear_sum_assignment(_squared_distances(x0s[:m], x1s[:m]))
         for size in reversed(sizes):
-            v = _c_transform(cost[:m, :size], _row_duals(cost[:m, :m], cols))
-            # the last level shifts the buffer in place: no second n x n array
-            block = cost[:size, :size]
-            shifted = block - v if size < n else np.subtract(block, v, out=block)
-            _, cols = linear_sum_assignment(shifted)
+            cost = _squared_distances(x0s[:size], x1s[:size])
+            # its leading m x m block is, bit for bit, the last level's cost
+            v = _c_transform(cost[:m], _row_duals(cost[:m, :m], cols))
+            _, cols = linear_sum_assignment(np.subtract(cost, v, out=cost))
+            del cost  # before the next level's: one cost buffer at a time
             m = size
         return cols
 

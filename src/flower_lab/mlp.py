@@ -36,13 +36,13 @@ def _silu_forward(z, sig, act):
     np.multiply(z, sig, out=act)
 
 
-def _silu_backward(grad_act, z, sig, out, scratch):
-    """out = grad_act * d silu/dz with d silu/dz = sig * (1 + z * (1 - sig))."""
+def _silu_backward(grad, z, sig, scratch):
+    """grad *= d silu/dz in place, with d silu/dz = sig * (1 + z * (1 - sig))."""
     np.subtract(1.0, sig, out=scratch)
     scratch *= z
     scratch += 1.0
     scratch *= sig
-    np.multiply(grad_act, scratch, out=out)
+    grad *= scratch
 
 
 class Mlp:
@@ -51,7 +51,11 @@ class Mlp:
     def __init__(self, weights, biases, dtype=None):
         if len(weights) != len(biases) or not weights:
             raise ValueError("weights and biases must be equal-length, nonempty")
-        dtype = np.dtype(dtype) if dtype is not None else weights[0].dtype
+        if dtype is None:
+            dtype = np.asarray(weights[0]).dtype
+            if not np.issubdtype(dtype, np.floating):
+                dtype = np.float64
+        dtype = np.dtype(dtype)
         self.weights = [np.ascontiguousarray(w, dtype=dtype) for w in weights]
         self.biases = [np.ascontiguousarray(b, dtype=dtype) for b in biases]
         for w, b in zip(self.weights, self.biases):
@@ -128,7 +132,6 @@ class MlpWorkspace:
         self.sig = [np.empty_like(zi) for zi in self.z]
         self.act = [np.empty_like(zi) for zi in self.z]
         self.out = np.empty((batch_size, widths[-1]), dt)
-        self.grad_z = [np.empty_like(zi) for zi in self.z]
         self.grad_act = [np.empty_like(zi) for zi in self.z]
         self.scratch = np.empty((batch_size, max(widths[1:])), dt)
         self.grad_w = [np.empty_like(w) for w in self.mlp.weights]
@@ -168,13 +171,9 @@ class MlpWorkspace:
             grad_up.sum(axis=0, out=self.grad_b[i])
             if i == 0:
                 break
-            np.dot(grad_up, ws[i].T, out=self.grad_act[i - 1])
+            grad_up = np.dot(grad_up, ws[i].T, out=self.grad_act[i - 1])
             scratch = self.scratch[:, : ws[i].shape[0]]
-            _silu_backward(
-                self.grad_act[i - 1], self.z[i - 1], self.sig[i - 1],
-                self.grad_z[i - 1], scratch,
-            )
-            grad_up = self.grad_z[i - 1]
+            _silu_backward(grad_up, self.z[i - 1], self.sig[i - 1], scratch)
         return loss
 
 

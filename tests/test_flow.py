@@ -1,5 +1,7 @@
 """Velocity fields, Euler integration, couplings and the CFM trainer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,8 +179,12 @@ class TestCouplings:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 16])
     def test_cost_buffer_is_the_broadcast_expression_bitwise(self, d):
+        """Also the contract that lets each warm-start level rebuild the last one's cost.
+
+        n = 1000 runs in 32-row blocks with an 8-row tail; one d covers it.
+        """
         rng = np.random.default_rng(40 + d)
-        for n in (1, 127, 128, 300):
+        for n in (1, 127, 128, 300) + ((1000,) if d == 2 else ()):
             x0 = rng.standard_normal((n, d))
             x1 = rng.standard_normal((n, d))
             np.testing.assert_array_equal(
@@ -188,6 +194,21 @@ class TestCouplings:
     def test_batch_size_mismatch(self):
         with pytest.raises(ValueError):
             IndependentCoupling().pair(np.zeros((3, 2)), np.zeros((4, 2)))
+
+    def test_assignment_holds_one_cost_buffer_at_a_time(self):
+        """Peak traced allocation at n = 1024: the n x n float64 cost plus at most 1 MiB."""
+        n = 1024
+        rng = np.random.default_rng(43)
+        x0 = rng.standard_normal((n, 2))
+        x1 = rng.standard_normal((n, 2))
+        MinibatchOTCoupling.assignment(x0[:8], x1[:8])  # loads the solver untraced
+        tracemalloc.start()
+        try:
+            MinibatchOTCoupling.assignment(x0, x1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + 2**20
 
 
 class TestCfmLoss:
@@ -253,6 +274,16 @@ class TestMlpField:
         batch = field.eval(xs, 0.4)
         rows = np.stack([field.eval(x, 0.4) for x in xs])
         np.testing.assert_allclose(batch, rows, rtol=1e-14)
+
+    def test_network_built_from_lists_matches_arrays(self):
+        rng = np.random.default_rng(23)
+        arrays = Mlp.initialize([3, 8, 2], rng)
+        lists = Mlp(
+            [w.tolist() for w in arrays.weights], [b.tolist() for b in arrays.biases]
+        )
+        assert lists.dtype == np.float64
+        xs = rng.standard_normal((5, 3))
+        np.testing.assert_array_equal(lists.forward(xs), arrays.forward(xs))
 
     def test_shape_validation(self):
         rng = np.random.default_rng(19)
