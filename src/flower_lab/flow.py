@@ -126,11 +126,11 @@ def _row_block(n_cols: int) -> int:
     return max(1, _OT_BLOCK_BYTES // (8 * max(n_cols, 1)))
 
 
-def _squared_distances(x0s, x1s) -> np.ndarray:
-    """The (n, n) cost |x0_i - x1_j|^2 as (sq0 + sq1) - 2 x0s x1s^T, in one buffer."""
+def _squared_distances(x0s, x1s, out=None) -> np.ndarray:
+    """The (n, n) cost |x0_i - x1_j|^2 as (sq0 + sq1) - 2 x0s x1s^T, in one buffer (out)."""
     sq0 = np.sum(x0s * x0s, axis=1)[:, None]
     sq1 = np.sum(x1s * x1s, axis=1)[None, :]
-    cost = x0s @ x1s.T
+    cost = np.matmul(x0s, x1s.T, out=out)
     step = _row_block(cost.shape[1])
     for lo in range(0, len(cost), step):
         rows = cost[lo : lo + step]
@@ -203,18 +203,19 @@ class MinibatchOTCoupling:
     scipy's ``linear_sum_assignment`` solves it, warm-started: the leading
     sub-batch of at most 128 rows and columns is solved cold, then the
     sub-batch doubles up to n, each level starting from the duals of the
-    level before, extended to the new columns by the c-transform.  Each
-    level builds its cost as a buffer of its own and frees it before the
-    next level's is built, so the working set is one n x n float64 buffer
-    plus O(n).  The duals of the level before come from the new buffer's
-    leading block, which equals that level's cost bit for bit.  The buffer
-    is then shifted in place, column j by its dual v_j, and handed to scipy.  That
-    adds the same constant -sum(v) to the cost of every permutation, so the
-    optimal permutations are those of the unshifted cost and every level is
-    still solved exactly; the duals only shorten scipy's augmenting paths
-    (batch 2048 on one CPU core: about 1 s, against 3-4 s for one cold
-    call).  The solver is scipy's compiled extension alone, loaded on first
-    use without the rest of ``scipy.optimize`` (see ``_linear_sum_assignment``).
+    level before, extended to the new columns by the c-transform.  Every
+    level builds its cost in the head of one flat n**2 float64 buffer,
+    allocated once per call, so the working set is that buffer plus O(n)
+    and repeated calls do not grow the heap.  The duals of the level before
+    come from the new cost's leading block, which equals that level's cost
+    bit for bit.  The cost is then shifted in place, column j by its dual
+    v_j, and handed to scipy.  That adds the same constant -sum(v) to the
+    cost of every permutation, so the optimal permutations are those of the
+    unshifted cost and every level is still solved exactly; the duals only
+    shorten scipy's augmenting paths (batch 2048 on one CPU core: about
+    1 s, against 3-4 s for one cold call).  The solver is scipy's compiled
+    extension alone, loaded on first use without the rest of
+    ``scipy.optimize`` (see ``_linear_sum_assignment``).
     """
 
     def pair(self, x0s, x1s, rng=None):
@@ -233,14 +234,15 @@ class MinibatchOTCoupling:
         sizes = [len(x0s)]
         while sizes[-1] > _OT_COLD_SIZE:
             sizes.append((sizes[-1] + 1) // 2)
-        m = sizes.pop()
-        _, cols = linear_sum_assignment(_squared_distances(x0s[:m], x1s[:m]))
+        flat = np.empty(len(x0s) ** 2)  # every level's cost is carved from it
+        m = 0
         for size in reversed(sizes):
-            cost = _squared_distances(x0s[:size], x1s[:size])
-            # its leading m x m block is, bit for bit, the last level's cost
-            v = _c_transform(cost[:m], _row_duals(cost[:m, :m], cols))
-            _, cols = linear_sum_assignment(np.subtract(cost, v, out=cost))
-            del cost  # before the next level's: one cost buffer at a time
+            cost = flat[: size * size].reshape(size, size)
+            _squared_distances(x0s[:size], x1s[:size], out=cost)
+            if m:  # its leading m x m block is, bit for bit, the last level's cost
+                v = _c_transform(cost[:m], _row_duals(cost[:m, :m], cols))
+                np.subtract(cost, v, out=cost)
+            _, cols = linear_sum_assignment(cost)
             m = size
         return cols
 

@@ -20,6 +20,7 @@ module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,14 +143,9 @@ class GaussianMixture:
 
 def _solve_lower(chol_lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L z = rhs row-wise for lower-triangular L; rhs (..., d)."""
-    flat = rhs.reshape(-1, rhs.shape[-1])
+    # not reshape(-1, m): -1 cannot be inferred when m = 0
+    flat = rhs.reshape(math.prod(rhs.shape[:-1]), rhs.shape[-1])
     return np.linalg.solve(chol_lower, flat.T).T.reshape(rhs.shape)
-
-
-def _cholesky_inverse(chol_lower: np.ndarray) -> np.ndarray:
-    """(L L^T)^-1 = L^-T L^-1 for a lower Cholesky factor L."""
-    l_inv_t = _solve_lower(chol_lower, np.eye(chol_lower.shape[0]))
-    return l_inv_t @ l_inv_t.T
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -169,7 +165,7 @@ class LinearGaussianObservation:
     observation: np.ndarray
 
     def __post_init__(self):
-        # the prox and the posterior divide by s^2 and scale by s^-2
+        # the prox divides by s^2 and scales by s^-2
         with np.errstate(over="ignore", divide="ignore"):
             precision = 1.0 / np.square(np.float64(self.noise_std))
         if not (self.noise_std > 0 and 0 < precision < np.inf):
@@ -194,34 +190,35 @@ def posterior_linear_gaussian(
 ) -> GaussianMixture:
     """Exact posterior of a shared-covariance GMM under a linear measurement.
 
-    The posterior is again a GMM with shared covariance:
+    The posterior is again a GMM with shared covariance.  With L the lower
+    Cholesky factor of the m x m predictive covariance H Sigma H^T + s^2 I,
+    A = L^-1 H Sigma and the gain K = A^T L^-1:
 
-        Sigma_post = (Sigma^-1 + H^T H / s^2)^-1
-        mu_k_post  = Sigma_post (H^T y / s^2 + Sigma^-1 mu_k)
+        Sigma_post = (I - K H) Sigma (I - K H)^T + s^2 K K^T
+        mu_k_post  = mu_k + (L^-1 (y - H mu_k))^T A
         w_k_post   ~ w_k N(y; H mu_k, H Sigma H^T + s^2 I)
 
     with s the noise standard deviation and weights normalized in log space.
+    Sigma_post is in Joseph form, a sum of Gram matrices: Sigma - A^T A rounds
+    an observed axis's variance s^2 to 0 once it is below Sigma's last bit.
+    No d x d matrix is factored, so nothing scales like s^-2.
     """
     h_dense = obs.operator.dense_matrix()
-    inv_s2 = 1.0 / (obs.noise_std * obs.noise_std)
-    prior_precision = _cholesky_inverse(prior._chol)
-    precision_post = prior_precision + inv_s2 * obs.operator.gram_matrix()
-    cov_post = _cholesky_inverse(np.linalg.cholesky(precision_post))
-    means_post = (obs.data_rhs + prior.means @ prior_precision.T) @ cov_post.T
+    m = obs.operator.out_dim
+    s2 = obs.noise_std * obs.noise_std
+    h_sigma = h_dense @ prior.covariance  # (M, d)
+    y_chol = np.linalg.cholesky(h_sigma @ h_dense.T + s2 * np.eye(m))
+    a = np.linalg.solve(y_chol, h_sigma)
+    sol = _solve_lower(y_chol, obs.observation - prior.means @ h_dense.T)  # (K, M)
+    means_post = prior.means + sol @ a
+    gain_t = np.linalg.solve(y_chol.T, a)  # K^T, (M, d)
+    residual_factor = prior._chol - gain_t.T @ (h_dense @ prior._chol)  # (I - K H) L_Sigma
+    cov_post = residual_factor @ residual_factor.T + s2 * (gain_t.T @ gain_t)
 
     # marginal likelihood of y under each component
-    m = obs.operator.out_dim
-    log_w = prior.log_weights
-    if m > 0:
-        y_cov = h_dense @ prior.covariance @ h_dense.T + (
-            obs.noise_std * obs.noise_std
-        ) * np.eye(m)
-        y_chol = np.linalg.cholesky(y_cov)
-        resid = obs.observation - prior.means @ h_dense.T  # (K, M)
-        sol = _solve_lower(y_chol, resid)
-        maha = np.sum(sol * sol, axis=-1)
-        log_det = 2.0 * np.log(np.diag(y_chol)).sum()
-        log_w = log_w - 0.5 * (maha + log_det + m * np.log(2.0 * np.pi))
+    maha = np.sum(sol * sol, axis=-1)
+    log_det = 2.0 * np.log(np.diag(y_chol)).sum()
+    log_w = prior.log_weights - 0.5 * (maha + log_det + m * np.log(2.0 * np.pi))
     log_w = log_w - _logsumexp(log_w)
     return GaussianMixture(np.exp(log_w), means_post, cov_post)
 

@@ -1,6 +1,11 @@
 """Velocity fields, Euler integration, couplings and the CFM trainer."""
 
+import ast
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +214,41 @@ class TestCouplings:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n * n + 2**20
+
+    @pytest.mark.skipif(
+        not os.path.isfile("/proc/self/status")
+        or "VmHWM:" not in Path("/proc/self/status").read_text(),
+        reason="no VmHWM in /proc/self/status",
+    )
+    def test_repeated_assignments_keep_the_process_peak(self):
+        """A second call at n = 2048 raises a fresh process's VmHWM by at most 2 MiB.
+
+        VmHWM is the child's own high-water mark, where ru_maxrss would start
+        from the spawning test process's.
+        """
+        script = """
+import numpy as np
+from flower_lab.flow import MinibatchOTCoupling
+rng = np.random.default_rng(2)
+x0, x1 = rng.standard_normal((2, 2048, 2))
+peaks = []
+for _ in range(2):
+    MinibatchOTCoupling.assignment(x0, x1)
+    with open("/proc/self/status") as status:
+        peaks += [int(ln.split()[1]) for ln in status if ln.startswith("VmHWM:")]
+print(peaks)
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        first_kib, second_kib = ast.literal_eval(done.stdout.splitlines()[-1])
+        assert second_kib - first_kib <= 2048
 
 
 class TestCfmLoss:

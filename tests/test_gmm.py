@@ -245,6 +245,68 @@ class TestPosterior:
         np.testing.assert_allclose(post.means, means_post, rtol=0, atol=1e-12)
         np.testing.assert_allclose(post.covariance, cov_post, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("noise_std", [1e-4, 1e-8, 1e-10, 1e-12, 1e-20])
+    @pytest.mark.parametrize(
+        "op",
+        [DenseOperator([[1.0, 0.0]]), MaskOperator({0}, dim=2), ScaledIdentityOperator(1.0, 2)],
+        ids=["dense_row", "mask", "identity"],
+    )
+    def test_small_noise_axis_rows(self, toy_prior, op, noise_std):
+        """Rows along the axes at vanishing noise: the closed form, variance s^2 and all."""
+        observed = np.flatnonzero(op.dense_matrix().any(axis=0))
+        post = posterior_linear_gaussian(
+            toy_prior, LinearGaussianObservation(op, noise_std, np.ones(op.out_dim))
+        )
+        var, s2 = TOY_COV, noise_std * noise_std
+        gain = var / (var + s2)
+        means = toy_prior.means.copy()
+        means[:, observed] += gain * (1.0 - means[:, observed])
+        cov = np.diag(np.full(2, var))
+        cov[observed, observed] = var * s2 / (var + s2)
+        np.testing.assert_allclose(post.means, means, rtol=0, atol=1e-12)
+        assert np.all(np.diag(post.covariance)[observed] > 0)
+        np.testing.assert_allclose(post.covariance, cov, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("noise_std", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("h", [[1.5, 1.3], [15.0, 15.0]])
+    def test_small_noise_one_row(self, toy_prior, h, noise_std):
+        """One row off the axes at small noise: the closed forms along h and across it.
+
+        A dense Sigma_post holds a variance along h only to a few ulp of
+        Sigma's scale, so that is the tolerance there.  Below about
+        s = sqrt(eps) sigma |h| the variance along h falls under it, and
+        whether the rounded Sigma_post still factors is left to rounding.
+        """
+        h = np.array(h)
+        h_hat = h / np.linalg.norm(h)
+        null = np.array([-h_hat[1], h_hat[0]])
+        obs = LinearGaussianObservation(DenseOperator([h]), noise_std, [1.0])
+        post = posterior_linear_gaussian(toy_prior, obs)
+        var, s2 = TOY_COV, noise_std * noise_std
+        h_mu = toy_prior.means @ h
+        h_sigma_h = var * (h @ h)
+        mean_along = (h_mu + h_sigma_h / (h_sigma_h + s2) * (1.0 - h_mu)) / np.linalg.norm(h)
+        var_along = var * s2 / (h_sigma_h + s2)
+        np.testing.assert_allclose(post.means @ h_hat, mean_along, rtol=0, atol=1e-12)
+        tol = max(1e-6 * var_along, 4 * np.finfo(float).eps * var)
+        assert h_hat @ post.covariance @ h_hat == pytest.approx(var_along, rel=0, abs=tol)
+        assert null @ post.covariance @ null == pytest.approx(var, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("noise_std", [0.25, 1e-3])
+    def test_repeated_row_is_one_row_at_lower_noise(self, toy_prior, noise_std):
+        """m > rank H: a row measured twice at noise s is that row once at s / sqrt(2)."""
+        h, y = [1.5, 1.3], 0.4
+        twice = posterior_linear_gaussian(
+            toy_prior, LinearGaussianObservation(DenseOperator([h, h]), noise_std, [y, y])
+        )
+        once = posterior_linear_gaussian(
+            toy_prior,
+            LinearGaussianObservation(DenseOperator([h]), noise_std / np.sqrt(2.0), [y]),
+        )
+        np.testing.assert_allclose(twice.weights, once.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(twice.means, once.means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(twice.covariance, once.covariance, rtol=0, atol=1e-12)
+
 
 class TestMarginalAtTime:
     def test_t0_is_standard_normal(self, toy_prior):

@@ -903,18 +903,21 @@ class TestStagedOutput:
 
     @pytest.mark.parametrize("verb", ["solve", "posterior-exact"])
     @pytest.mark.parametrize(
-        "h, noise_std, why",
+        "matrix, why",
         [
-            # the posterior precision cannot be factored
-            ("[1.5, 1.3]", "1e-10", "Matrix is not positive definite"),
-            # it can, but its inverse fails the posterior GMM's own check
-            ("[15, 15]", "1e-8", "covariance is not positive definite"),
+            # a repeated row at tiny noise: the predictive covariance cannot be factored
+            ("[[1.5, 1.5], [1.5, 1.5]]", "Matrix is not positive definite"),
+            # it can, but the posterior covariance fails the posterior GMM's own check
+            ("[[1.5, 1.3], [1.5, 1.3]]", "covariance is not positive definite"),
         ],
     )
-    def test_failed_exact_posterior_exits_3(self, tmp_path, capsys, verb, h, noise_std, why):
+    def test_failed_exact_posterior_exits_3(self, tmp_path, capsys, verb, matrix, why):
         path = tmp_path / "sharp.cfg"
-        text = MINI_TOY.replace("h = [1.5, 1.5]", f"h = {h}")
-        path.write_text(text.replace("noise_std = 0.25", f"noise_std = {noise_std}"))
+        text = MINI_TOY.replace(
+            "operator = row_vector\nh = [1.5, 1.5]", f"operator = dense\nmatrix = {matrix}"
+        )
+        text = text.replace("y = [1.0]", "y = [1.0, 1.0]")
+        path.write_text(text.replace("noise_std = 0.25", "noise_std = 1e-10"))
         out = tmp_path / "out"
         assert main([verb, "--config", str(path), "--out", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err
