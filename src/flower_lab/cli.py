@@ -142,11 +142,8 @@ def _staged(directory: Path):
 def _exact_posterior(cfg: ExperimentConfig):
     try:
         return posterior_linear_gaussian(cfg.prior, cfg.observation)
-    except ValueError as exc:
-        # numerical: a failed factorization, or the posterior GMM's positive-definiteness
-        # check, which chains one; any other ValueError is a fault and propagates
-        if not any(isinstance(e, np.linalg.LinAlgError) for e in (exc, exc.__cause__)):
-            raise
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        # a result that is not finite, or an SVD that did not converge; other errors are faults
         raise FloatingPointError(f"exact posterior: {exc}") from exc
 
 

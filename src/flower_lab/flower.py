@@ -13,11 +13,12 @@ The schedule runs k = 0..N-1, so the refinement never sees t = 1 and the
 final progression lands on t = 1 exactly, returning x1_tilde unchanged.
 
 Step 2 has two public halves, ``refine_mean`` (mu_t) and ``sample_kappa``
-(kappa_t), and both work in one basis: the eigenbasis U of H^T H, factored
-once per operator, where the system's matrix is diag(sigma) with
-sigma = nu_t^-2 + s^-2 lam.  The mean is a diagonal scaling there, and
-kappa is (xi / sqrt(sigma)) U^T for xi ~ N(0, I_d).  An operator without a
-Gram matrix falls back to matrix-free CG and the two-noise kappa draw.
+(kappa_t), and both work in V's basis, H = W diag(S) V^T being the SVD
+factored once per operator.  Multiplied through by s^2, the system there is
+diag(a + S^2) with a = s^2 nu_t^-2, and its data term S W^T y is exactly 0
+on H's null space however small s is.  So the mean is a scaling, and kappa
+is (xi s / sqrt(a + S^2)) V^T for xi ~ N(0, I_d).  An operator without a
+dense matrix falls back to matrix-free CG and a two-noise kappa draw.
 
 The step functions accept a single state ``(d,)`` or a lockstep batch
 ``(n, d)``.  ``run_batch`` is the one driver and the one place that
@@ -88,52 +89,39 @@ class FlowerRunError(RuntimeError):
         self.step = step
 
 
-def _prox_basis(obs: LinearGaussianObservation, t: float):
-    """(U, sigma) with nu_t^-2 I + s^-2 H^T H = U diag(sigma) U^T, or None.
-
-    U is the eigenbasis of H^T H (``gram_eigh``, factored once per
-    operator); None for an operator without a Gram matrix.
-    """
+def _svd(obs: LinearGaussianObservation):
+    """The operator's ``svd`` (W, S, V), or None for an operator without a dense matrix."""
     try:
-        lam, u = obs.operator.gram_eigh
+        return obs.operator.svd
     except NotImplementedError:
         return None
-    return u, 1.0 / nu(t) ** 2 + 1.0 / (obs.noise_std * obs.noise_std) * lam
 
 
-def _divide_columns(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """z / scale in place, for a (d,) scale and a 1-D or (n, d) z.
+def _scale_columns(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """z * scale, in place for a contiguous z, for a (d,) scale and a 1-D or (n, d) z.
 
-    Divided flat by the tiled scale, since a (d,) scale broadcast over (n, d)
-    takes numpy's row-by-row short-axis path at small d; the divisions, and
-    so the bits, are the same.
+    Multiplied flat by the tiled scale, since a (d,) scale broadcast over
+    (n, d) takes numpy's row-by-row short-axis path at small d; the
+    products, and so the bits, are the same.
     """
     flat = z.reshape(-1)
-    np.divide(flat, np.tile(scale, flat.size // scale.size), out=flat)
-    return z
+    np.multiply(flat, np.tile(scale, flat.size // scale.size), out=flat)
+    return flat.reshape(z.shape)
 
 
-def _prox_solve(obs: LinearGaussianObservation, rhs: np.ndarray, t: float) -> np.ndarray:
-    """Solve (nu_t^-2 I + s^-2 H^T H) z = rhs for a 1-D or (n, d) right-hand side.
+def _prox_solve(obs: LinearGaussianObservation, rhs: np.ndarray, a: float) -> np.ndarray:
+    """Solve (a I + H^T H) z = rhs by matrix-free CG, one row at a time.
 
-    A diagonal scaling in the prox basis at every t and for the whole batch;
-    an operator without a Gram matrix falls back to matrix-free CG, one row
-    at a time.
+    The path of an operator without a dense matrix, and so without ``svd``.
     """
-    basis = _prox_basis(obs, t)
-    if basis is None:
-        inv_nu2 = 1.0 / nu(t) ** 2
-        inv_s2 = 1.0 / (obs.noise_std * obs.noise_std)
 
-        def matvec(v):
-            return inv_nu2 * v + inv_s2 * obs.operator.gram_apply(v)
+    def matvec(v):
+        return a * v + obs.operator.gram_apply(v)
 
-        # 1e-12 matches the eigenbasis path to 1e-8
-        if rhs.ndim == 1:
-            return solve_spd(matvec, rhs, 1e-12)
-        return np.stack([solve_spd(matvec, row, 1e-12) for row in rhs])
-    u, sigma = basis
-    return _divide_columns(rhs @ u, sigma) @ u.T
+    # 1e-12 matches the SVD path to 1e-8
+    if rhs.ndim == 1:
+        return solve_spd(matvec, rhs, 1e-12)
+    return np.stack([solve_spd(matvec, row, 1e-12) for row in rhs])
 
 
 def destination_estimate(field: VelocityField, x_t, t: float) -> np.ndarray:
@@ -147,11 +135,23 @@ def destination_estimate(field: VelocityField, x_t, t: float) -> np.ndarray:
 def refine_mean(x1_hat, obs: LinearGaussianObservation, t: float) -> np.ndarray:
     """Step 2 mean: the proximal point balancing x1_hat against the data.
 
-    Solves the prox system with right-hand side nu_t^-2 x1_hat + s^-2 H^T y.
+    Solves (a I + H^T H) mu = a x1_hat + H^T y with a = s^2 nu_t^-2: in V's
+    basis mu = (a x1_hat + S W^T y) / r^2 with r = sqrt(a + S^2), for every t
+    and the whole batch, scaled by a / r^2 and S / r^2, which cannot overflow.
     """
     if t >= 1.0:
         raise ValueError("refinement requires t < 1 (nu_t > 0)")
-    return _prox_solve(obs, np.asarray(x1_hat, dtype=float) / nu(t) ** 2 + obs.data_rhs, t)
+    x1_hat = np.asarray(x1_hat, dtype=float)
+    s_nu = obs.noise_std / nu(t)
+    svd = _svd(obs)
+    if svd is None:
+        rhs = s_nu**2 * x1_hat + obs.operator.apply_adjoint(obs.observation)
+        return _prox_solve(obs, rhs, s_nu**2)
+    w, sv, v = svd
+    r = np.hypot(s_nu, sv)
+    z = _scale_columns(x1_hat @ v, (s_nu / r) ** 2)
+    z += sv / r / r * (obs.observation @ w)
+    return z @ v.T
 
 
 def sample_kappa(
@@ -160,25 +160,27 @@ def sample_kappa(
     rng: np.random.Generator,
     size: int | None = None,
 ) -> np.ndarray:
-    """Draw kappa_t ~ N(0, Sigma_t) in the prox basis.
+    """Draw kappa_t ~ N(0, Sigma_t) in V's basis.
 
-    With Sigma_t = U diag(1/sigma) U^T, kappa_t = (xi / sqrt(sigma)) U^T for
-    xi ~ N(0, I_d): d normals per draw, no adjoint and no solve.  An operator
-    without a Gram matrix draws by the two-noise construction instead: eps1
-    on the signal side and eps2 on the measurement side (in that order), then
-    Sigma_t applied to nu_t^-1 eps1 + s^-1 H^T eps2 by a CG solve.
+    With Sigma_t = s^2 (a I + H^T H)^-1 = V diag(s^2 / r^2) V^T, a and r as
+    in ``refine_mean``, kappa_t = (xi s / r) V^T for xi ~ N(0, I_d): d
+    normals per draw, no adjoint and no solve.  Without a dense matrix it is
+    two draws, eps1 on the signal side and eps2 on the measurement side, then
+    s (a I + H^T H)^-1 (s nu_t^-1 eps1 + H^T eps2) by a CG solve.
     """
     if t >= 1.0:
         raise ValueError("kappa is defined for t < 1 (nu_t > 0)")
     op = obs.operator
     shape = () if size is None else (size,)
-    basis = _prox_basis(obs, t)
-    if basis is None:
+    s_nu = obs.noise_std / nu(t)
+    svd = _svd(obs)
+    if svd is None:
         eps1 = rng.standard_normal(shape + (op.in_dim,))
         eps2 = rng.standard_normal(shape + (op.out_dim,))
-        return _prox_solve(obs, eps1 / nu(t) + op.apply_adjoint(eps2) / obs.noise_std, t)
-    u, sigma = basis
-    return _divide_columns(rng.standard_normal(shape + (op.in_dim,)), np.sqrt(sigma)) @ u.T
+        return obs.noise_std * _prox_solve(obs, s_nu * eps1 + op.apply_adjoint(eps2), s_nu**2)
+    _, sv, v = svd
+    std = obs.noise_std / np.hypot(s_nu, sv)
+    return _scale_columns(rng.standard_normal(shape + (op.in_dim,)), std) @ v.T
 
 
 def time_progress(x1_tilde, t: float, dt: float, rng: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import LinearOperator, as_vector
+from .operators import LinearOperator, _rank_svd, as_vector
 
 __all__ = [
     "GaussianMixture",
@@ -75,16 +75,29 @@ class GaussianMixture:
         if not np.allclose(cov, cov.T, rtol=0, atol=1e-12 * max(1.0, abs(cov).max())):
             raise ValueError("covariance must be symmetric")
         try:
-            self._chol = np.linalg.cholesky(cov)
+            self._root = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance is not positive definite") from exc
+        self._finish(cov)
+
+    @classmethod
+    def _from_root(cls, weights, means, root):
+        """The mixture with covariance root root^T, keeping the computed root as its factor."""
+        if not all(np.all(np.isfinite(a)) for a in (weights, means, root)):
+            raise FloatingPointError("weights, means or covariance root not finite")
+        mix = cls.__new__(cls)
+        mix.weights, mix.means, mix._root = weights, means, root
+        mix._finish(root @ root.T)
+        return mix
+
+    def _finish(self, cov):
+        """The rest of the state, from weights, means, the root and its covariance cov."""
         self.covariance = cov
         diag = np.diagonal(cov)
         # c > 0 on the diagonal and d nonzero entries: cov is exactly c I
-        self._isotropic_variance = (
-            float(diag[0]) if np.all(diag == diag[0]) and np.count_nonzero(cov) == d else None
-        )
-        self._log_det = 2.0 * np.log(np.diag(self._chol)).sum()
+        isotropic = np.all(diag == diag[0]) and np.count_nonzero(cov) == diag.size
+        self._isotropic_variance = float(diag[0]) if isotropic else None
+        self._log_det = 2.0 * np.linalg.slogdet(self._root)[1]
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(self.weights)
         for arr in (self.weights, self.means, self.covariance, self.log_weights):
@@ -113,8 +126,9 @@ class GaussianMixture:
         if x.shape[-1] != self.dim:
             raise ValueError(f"x has dimension {x.shape[-1]}, expected {self.dim}")
         diff = x[..., None, :] - self.means  # (..., K, d)
-        sol = _solve_lower(self._chol, diff)
-        maha = np.sum(sol * sol, axis=-1)
+        # _root is a square root of the covariance, lower-triangular or not
+        sol = np.linalg.solve(self._root, diff.reshape(-1, self.dim).T).T
+        maha = np.sum(sol * sol, axis=-1).reshape(diff.shape[:-1])
         log_norm = -0.5 * (self.dim * np.log(2.0 * np.pi) + self._log_det)
         return self.log_weights + log_norm - 0.5 * maha
 
@@ -123,12 +137,12 @@ class GaussianMixture:
         return _logsumexp(self.component_log_densities(x))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n i.i.d. samples: categorical component, then Cholesky noise."""
+        """Draw n i.i.d. samples: categorical component, then noise through the root."""
         if n < 1:
             raise ValueError("n must be >= 1")
         idx = rng.choice(self.n_components, size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))
-        return self.means[idx] + z @ self._chol.T
+        return self.means[idx] + z @ self._root.T
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.means
@@ -139,13 +153,6 @@ class GaussianMixture:
         centered = self.means - m
         spread = (self.weights[:, None] * centered).T @ centered
         return self.covariance + spread
-
-
-def _solve_lower(chol_lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L z = rhs row-wise for lower-triangular L; rhs (..., d)."""
-    # not reshape(-1, m): -1 cannot be inferred when m = 0
-    flat = rhs.reshape(math.prod(rhs.shape[:-1]), rhs.shape[-1])
-    return np.linalg.solve(chol_lower, flat.T).T.reshape(rhs.shape)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -165,7 +172,7 @@ class LinearGaussianObservation:
     observation: np.ndarray
 
     def __post_init__(self):
-        # the prox divides by s^2 and scales by s^-2
+        # the prox multiplies through by s^2, which must neither underflow nor overflow
         with np.errstate(over="ignore", divide="ignore"):
             precision = 1.0 / np.square(np.float64(self.noise_std))
         if not (self.noise_std > 0 and 0 < precision < np.inf):
@@ -177,50 +184,36 @@ class LinearGaussianObservation:
         y.flags.writeable = False
         object.__setattr__(self, "observation", y)
 
-    @cached_property
-    def data_rhs(self) -> np.ndarray:
-        """s^-2 H^T y, the data term of every prox right-hand side; cached, read-only."""
-        data = self.operator.apply_adjoint(self.observation) / (self.noise_std**2)
-        data.flags.writeable = False
-        return data
-
 
 def posterior_linear_gaussian(
     prior: GaussianMixture, obs: LinearGaussianObservation
 ) -> GaussianMixture:
     """Exact posterior of a shared-covariance GMM under a linear measurement.
 
-    The posterior is again a GMM with shared covariance.  With L the lower
-    Cholesky factor of the m x m predictive covariance H Sigma H^T + s^2 I,
-    A = L^-1 H Sigma and the gain K = A^T L^-1:
+    The posterior is again a GMM with shared covariance.  With L Sigma's
+    factor, H L = W diag(S) V^T by ``svd``'s rank rule, s the noise standard
+    deviation, g = sqrt(S^2 + s^2) and r_k = W^T (y - H mu_k):
 
-        Sigma_post = (I - K H) Sigma (I - K H)^T + s^2 K K^T
-        mu_k_post  = mu_k + (L^-1 (y - H mu_k))^T A
-        w_k_post   ~ w_k N(y; H mu_k, H Sigma H^T + s^2 I)
+        Sigma_post = F F^T with F = L V diag(s / g), handed over as the factor
+        mu_k_post  = mu_k + L V (S / g^2 * r_k)
+        w_k_post   ~ w_k exp(-|r_k / g|^2 / 2), summed over the rank of H L
 
-    with s the noise standard deviation and weights normalized in log space.
-    Sigma_post is in Joseph form, a sum of Gram matrices: Sigma - A^T A rounds
-    an observed axis's variance s^2 to 0 once it is below Sigma's last bit.
-    No d x d matrix is factored, so nothing scales like s^-2.
+    with weights normalized in log space, where the log-determinant and the
+    part of y - H mu_k outside H's range cancel.  Nothing forms 1 - gain or
+    factors Sigma_post, so an observed direction keeps its variance at any s.
     """
     h_dense = obs.operator.dense_matrix()
-    m = obs.operator.out_dim
-    s2 = obs.noise_std * obs.noise_std
-    h_sigma = h_dense @ prior.covariance  # (M, d)
-    y_chol = np.linalg.cholesky(h_sigma @ h_dense.T + s2 * np.eye(m))
-    a = np.linalg.solve(y_chol, h_sigma)
-    sol = _solve_lower(y_chol, obs.observation - prior.means @ h_dense.T)  # (K, M)
-    means_post = prior.means + sol @ a
-    gain_t = np.linalg.solve(y_chol.T, a)  # K^T, (M, d)
-    residual_factor = prior._chol - gain_t.T @ (h_dense @ prior._chol)  # (I - K H) L_Sigma
-    cov_post = residual_factor @ residual_factor.T + s2 * (gain_t.T @ gain_t)
-
-    # marginal likelihood of y under each component
-    maha = np.sum(sol * sol, axis=-1)
-    log_det = 2.0 * np.log(np.diag(y_chol)).sum()
-    log_w = prior.log_weights - 0.5 * (maha + log_det + m * np.log(2.0 * np.pi))
-    log_w = log_w - _logsumexp(log_w)
-    return GaussianMixture(np.exp(log_w), means_post, cov_post)
+    s = obs.noise_std
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, sv, v = _rank_svd(h_dense @ prior._root)
+        g = np.hypot(sv, s)
+        # past the rank r_k holds rounding, not data
+        q = np.where(sv > 0, (obs.observation - prior.means @ h_dense.T) @ w / g, 0.0)
+        root = prior._root @ v
+        means_post = prior.means + (q * (sv / g)) @ root.T
+        log_w = prior.log_weights - 0.5 * np.sum(q * q, axis=-1)
+        weights = np.exp(log_w - _logsumexp(log_w))
+    return GaussianMixture._from_root(weights, means_post, root * (s / g))
 
 
 def marginal_at_time(prior: GaussianMixture, t: float) -> GaussianMixture:

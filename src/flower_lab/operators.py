@@ -6,11 +6,11 @@ variants; ``gram_apply`` (H^T H x) composes the two.  All actions accept a
 single vector ``(d,)`` or a row-wise batch ``(n, d)``.  A single measurement
 row h^T is the one-row ``DenseOperator([h])``.
 
-The proximal system (a I + b H^T H) z = r is solved one way: ``gram_eigh``
-factors ``gram_matrix`` (H^T H, from ``dense_matrix`` by default) once per
-operator, so every such system is a diagonal scaling in its basis.  An
-operator that cannot materialize H^T H falls back to ``solve_spd``,
-matrix-free conjugate gradients on ``gram_apply``.
+Every Gaussian solve in H reads one factorization, ``svd``: H = W diag(S) V^T
+from ``dense_matrix``, once per operator, so the proximal system
+(a I + H^T H) z = r is the diagonal a + S^2 in V's basis.  An operator
+without a dense matrix falls back to ``solve_spd``, matrix-free conjugate
+gradients on ``gram_apply``.
 
 Operators are immutable after construction and safe to share across
 threads; every action is a pure function of its inputs.
@@ -57,6 +57,22 @@ def _check_last_dim(x, dim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _rank_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, S, V), read-only, with a = W diag(S) V^T for an (m, d) matrix a.
+
+    S (d,) descends, V is square and W (m, d) is 0 past column min(m, d).  A
+    singular value at or below max(S) max(m, d) eps (numpy's matrix_rank
+    rule) is exactly 0, so a's null space is where S is 0.
+    """
+    m, d = a.shape
+    w, sv, vt = np.linalg.svd(a, full_matrices=m < d)
+    sv[sv <= sv.max(initial=0.0) * max(m, d) * np.finfo(float).eps] = 0.0
+    factors = np.pad(w, ((0, 0), (0, d - sv.size))), np.pad(sv, (0, d - sv.size)), vt.T
+    for arr in factors:
+        arr.flags.writeable = False
+    return factors
+
+
 class LinearOperator:
     """Base class: a linear map H: R^in_dim -> R^out_dim with exact adjoint."""
 
@@ -88,17 +104,9 @@ class LinearOperator:
         return a.T @ a
 
     @cached_property
-    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, U) with H^T H = U diag(lam) U^T, computed once; both read-only.
-
-        lam is clipped at 0 (H^T H is PSD, so negative values are rounding).
-        Raises NotImplementedError when gram_matrix does.
-        """
-        lam, u = np.linalg.eigh(self.gram_matrix())
-        lam = np.maximum(lam, 0.0)
-        lam.flags.writeable = False
-        u.flags.writeable = False
-        return lam, u
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_rank_svd`` of ``dense_matrix``, once; NotImplementedError without one."""
+        return _rank_svd(self.dense_matrix())
 
     # subclass hooks, inputs already validated
     def _apply(self, x):

@@ -113,6 +113,37 @@ def posterior_by_scipy_cholesky(weights, means, cov, h_dense, noise_std, y):
     return np.exp(log_w - logsumexp(log_w)), means_post, cov_post
 
 
+def flower_chain_law(mean, cov, h_dense, noise_std, y, n_steps, gamma):
+    """Mean and covariance of Flower's output for the Gaussian prior N(mean, cov).
+
+    With one component every step is affine in the state plus independent
+    Gaussian noise.  From x_0 ~ N(0, I), step k at t = k / N maps x to
+    x1_hat = mean + t cov P^-1 (x - t mean) with P = t^2 cov + (1 - t)^2 I,
+    then to M^-1 (nu^-2 x1_hat + s^-2 H^T y) + gamma kappa with
+    M = nu^-2 I + s^-2 H^T H, nu^2 = (1 - t)^2 / (t^2 + (1 - t)^2) and
+    kappa ~ N(0, M^-1), then to t' x1_tilde + (1 - t') eps at t' = (k + 1) / N.
+    The recursion carries (m, C) through those maps with dense solves.
+    """
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    h_dense = np.atleast_2d(np.asarray(h_dense, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    d = mean.shape[0]
+    eye = np.eye(d)
+    m, c = np.zeros(d), eye
+    for k in range(n_steps):
+        t, t_next = k / n_steps, (k + 1) / n_steps
+        slope = t * solve(t * t * cov + (1.0 - t) ** 2 * eye, cov, assume_a="pos").T
+        inv_nu2 = (t * t + (1.0 - t) ** 2) / (1.0 - t) ** 2
+        sigma_t = cho_solve(cho_factor(inv_nu2 * eye + h_dense.T @ h_dense / noise_std**2), eye)
+        step = inv_nu2 * sigma_t @ slope
+        data = sigma_t @ h_dense.T @ y / noise_std**2
+        shift = inv_nu2 * sigma_t @ (mean - t * slope @ mean) + data
+        m = t_next * (step @ m + shift)
+        c = t_next**2 * (step @ c @ step.T + gamma * sigma_t) + (1.0 - t_next) ** 2 * eye
+    return m, c
+
+
 def wasserstein1d(a, b) -> float:
     """Exact W2 between two equal-size 1-D empirical distributions.
 

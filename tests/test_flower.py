@@ -34,7 +34,12 @@ from flower_lab.operators import (
 )
 
 from conftest import MINI_TOY, blur_kernel
-from oracles import covariance_standard_errors, mean_standard_errors
+from oracles import (
+    covariance_standard_errors,
+    flower_chain_law,
+    mean_standard_errors,
+    posterior_by_scipy_cholesky,
+)
 
 
 def dense_precision(op, noise_std, t):
@@ -58,7 +63,7 @@ def high_dimensional_operators(d):
 
 
 class MatrixFreeOperator(LinearOperator):
-    """A matrix known only by its actions: no dense_matrix, hence no gram_matrix."""
+    """A matrix known only by its actions: no dense_matrix, hence no svd."""
 
     def __init__(self, matrix):
         self._matrix = np.asarray(matrix, dtype=float)
@@ -74,9 +79,14 @@ class MatrixFreeOperator(LinearOperator):
 class GramCountingOperator(DenseOperator):
     def __init__(self, matrix):
         super().__init__(matrix)
+        self.dense_calls = 0
         self.gram_calls = 0
         self.adjoint_calls = 0
         self.gram_apply_calls = 0
+
+    def dense_matrix(self):
+        self.dense_calls += 1
+        return super().dense_matrix()
 
     def gram_matrix(self):
         self.gram_calls += 1
@@ -101,6 +111,23 @@ class QueuedDraws:
         arr = self._arrays.pop(0)
         assert arr.shape == shape
         return arr
+
+
+def chain_law(prior, obs, n_steps, gamma):
+    """(mean, covariance) of run_batch's output for a one-component prior, seed-free.
+
+    The run is affine in its normals, numbered in the order drawn.  Row 0
+    draws zeros and row 1 + j the j-th unit normal, so row 0 is the mean and
+    row 1 + j the mean plus column j of the map.
+    """
+    d = prior.dim
+    n_normals = d * (1 + n_steps * (1 + gamma))
+    draws = np.vstack([np.zeros(n_normals), np.eye(n_normals)])
+    cfg = FlowerConfig(n_steps=n_steps, gamma=gamma, noise_std=obs.noise_std)
+    rng = QueuedDraws(*np.split(draws, n_normals // d, axis=1))
+    x1 = run_batch(AnalyticGmmField(prior), obs, cfg, n_normals + 1, rng=rng)
+    columns = x1[1:] - x1[0]
+    return x1[0], columns.T @ columns
 
 
 class TestNu:
@@ -204,20 +231,19 @@ class TestRefineMean:
         np.testing.assert_allclose(refine_mean(xhat, obs, t), oracle, rtol=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 16])
-    def test_eigenbasis_scaling_is_the_broadcast_divide_bitwise(self, d):
-        """The prox divides by nu^-2 + s^-2 lam exactly as a (d,) broadcast would."""
+    def test_basis_scaling_is_the_broadcast_form_bitwise(self, d):
+        """In V's basis the prox scales by a / r^2 and S / r^2 exactly as (d,) broadcasts would."""
         rng = np.random.default_rng(40 + d)
         op = DenseOperator(rng.standard_normal((max(d - 1, 1), d)))
         s = 0.3
         obs = LinearGaussianObservation(op, s, rng.standard_normal(op.out_dim))
-        lam, u = op.gram_eigh
+        w, sv, v = op.svd
         for t in (0.0, 0.5, 0.9):
-            scale = 1.0 / nu(t) ** 2 + 1.0 / (s * s) * lam
+            r = np.hypot(s / nu(t), sv)
             for shape in ((d,), (1, d), (257, d)):
                 xhat = rng.standard_normal(shape)
-                rhs = xhat / nu(t) ** 2 + obs.data_rhs
-                broadcast = ((rhs @ u) / scale) @ u.T
-                np.testing.assert_array_equal(refine_mean(xhat, obs, t), broadcast)
+                scaled = (xhat @ v) * (s / nu(t) / r) ** 2 + sv / r / r * (obs.observation @ w)
+                np.testing.assert_array_equal(refine_mean(xhat, obs, t), scaled @ v.T)
 
     def test_rejects_t_one(self):
         obs = LinearGaussianObservation(ScaledIdentityOperator(1.0, 2), 0.5, [0.0, 0.0])
@@ -225,7 +251,7 @@ class TestRefineMean:
             refine_mean(np.zeros(2), obs, 1.0)
 
     def test_large_dimension_matches_dense_oracle(self):
-        """At d = 80, single and batched solves and kappa draws go through the eigenbasis."""
+        """At d = 80, single and batched solves and kappa draws go through V's basis."""
         rng = np.random.default_rng(53)
         d = 80
         op = MaskOperator(range(0, d, 2), d)
@@ -275,8 +301,8 @@ class TestSampleKappa:
     def test_draws_d_normals_per_row_in_the_prox_basis(self, size):
         """The generator ends where one that drew size * d normals ends, whatever m is.
 
-        kappa is (xi / sqrt(sigma)) U^T for those normals xi, with U and lam
-        from gram_eigh and sigma = nu_t^-2 + s^-2 lam.
+        kappa is (xi s / sqrt(a + S^2)) V^T for those normals xi, with S and
+        V from svd and a = s^2 nu_t^-2.
         """
         rng = np.random.default_rng(59)
         d, s, t = 3, 0.3, 0.4
@@ -294,13 +320,12 @@ class TestSampleKappa:
             kappa = sample_kappa(obs, t, drawn, size)
             xi = ref.standard_normal(shape)
             assert drawn.bit_generator.state == ref.bit_generator.state
-            lam, u = op.gram_eigh
-            sigma = 1 / nu(t) ** 2 + lam / s**2
-            expected = (xi / np.sqrt(sigma)) @ u.T
+            _, sv, v = op.svd
+            expected = (xi * (s / np.hypot(s / nu(t), sv))) @ v.T
             np.testing.assert_allclose(kappa, expected, rtol=1e-12, atol=1e-15)
 
     def test_no_adjoint_gram_apply_or_prox_solve(self, monkeypatch):
-        """A kappa draw uses the cached eigenbasis alone: one gram_matrix for twenty draws."""
+        """A kappa draw uses the cached SVD alone: one dense_matrix for twenty draws."""
         prox_solves = []
 
         def counting_prox_solve(*args):
@@ -315,7 +340,8 @@ class TestSampleKappa:
         for k in range(10):
             sample_kappa(obs, k / 10, rng, size=4)
             sample_kappa(obs, k / 10, rng)
-        assert (op.gram_calls, op.adjoint_calls, op.gram_apply_calls) == (1, 0, 0)
+        calls = (op.dense_calls, op.gram_calls, op.adjoint_calls, op.gram_apply_calls)
+        assert calls == (1, 0, 0, 0)
         assert prox_solves == []
 
 
@@ -366,9 +392,9 @@ class TestProxHighDimension:
             assert np.max(z) <= 5.5, type(op).__name__
 
     def test_matrix_free_operator_falls_back_to_cg(self, monkeypatch):
-        """No gram_matrix: every solve is a CG solve, and kappa keeps the dense law.
+        """No dense_matrix: every solve is a CG solve, and kappa keeps the dense law.
 
-        Means equal the eigenbasis path to 1e-8.  Without a basis, kappa is the
+        Means equal the SVD path to 1e-8.  Without a basis, kappa is the
         two-noise construction, linear in its d + m normals: fed the unit
         vectors, it returns the rows of a square root R of its covariance, and
         R^T R times the dense precision must be I to 1e-8.
@@ -380,7 +406,7 @@ class TestProxHighDimension:
         free = LinearGaussianObservation(MatrixFreeOperator(a), s, y)
         dense = LinearGaussianObservation(DenseOperator(a), s, y)
         with pytest.raises(NotImplementedError):
-            free.operator.gram_eigh
+            free.operator.svd
         cg_solves = []
 
         def counting_solve_spd(matvec, b, rel_tolerance=1e-10):
@@ -411,20 +437,19 @@ class TestProxHighDimension:
         for k in range(10):
             refine_mean(rng.standard_normal(65), obs, k / 10)
             sample_kappa(obs, k / 10, rng, size=2)
-        assert op.gram_calls == 1
+        assert (op.dense_calls, op.gram_calls) == (1, 0)
 
-    def test_data_term_once_per_observation(self):
-        """s^-2 H^T y is one adjoint per observation, with the bytes of the per-call formula."""
+    def test_data_term_needs_no_adjoint(self):
+        """The data term is S * W^T y in V's basis: no adjoint, and S is 0 past the rank."""
         rng = np.random.default_rng(10)
-        matrix = rng.standard_normal((20, 65))
-        op = GramCountingOperator(matrix)
+        op = GramCountingOperator(rng.standard_normal((20, 65)))
         obs = LinearGaussianObservation(op, 0.1, rng.standard_normal(20))
         for k in range(10):
             refine_mean(rng.standard_normal((3, 65)), obs, k / 10)
-        assert op.adjoint_calls == 1
-        expected = DenseOperator(matrix).apply_adjoint(obs.observation) / 0.1**2
-        assert obs.data_rhs.tobytes() == expected.tobytes()
-        assert not obs.data_rhs.flags.writeable
+        assert (op.dense_calls, op.adjoint_calls, op.gram_apply_calls) == (1, 0, 0)
+        w, sv, v = op.svd
+        assert np.count_nonzero(sv) == 20 and not np.any(w[:, 20:])
+        assert not any(arr.flags.writeable for arr in (w, sv, v))
 
     def test_run_batch_never_runs_cg_on_a_circulant(self, monkeypatch):
         def no_cg(*args, **kwargs):
@@ -507,15 +532,32 @@ class TestJointMoments:
     """Composed steps 2 and 3 at a fixed state, against dense oracles."""
 
     def test_refined_destination_moments(self, toy1_obs):
+        """mu + kappa has mean mu by Monte Carlo, and kappa has covariance Sigma_t exactly.
+
+        kappa is linear in its d normals, so fed the unit vectors it returns
+        the rows of a square root R of its covariance: R^T R = Sigma_t, with
+        no seed, on operators with a near-singular H^T H (circulant), exact
+        zero singular values (a mask, a one-row and a rank d / 2 dense
+        operator) and a scaled identity.
+        """
         t = 0.5
         xhat = np.array([0.3, 0.1])
         n = 100_000
         mu = refine_mean(xhat, toy1_obs, t)
         draws = mu + sample_kappa(toy1_obs, t, np.random.default_rng(43), size=n)
-        sigma = dense_sigma_t(toy1_obs.operator, toy1_obs.noise_std, t)
         assert np.all(np.abs(draws.mean(axis=0) - mu) <= 3 * mean_standard_errors(draws))
-        emp = np.cov(draws.T, ddof=1)
-        assert np.all(np.abs(emp - sigma) <= 3 * covariance_standard_errors(draws))
+        for d in (2, 65):
+            rng = np.random.default_rng(d)
+            operators = high_dimensional_operators(d) + [
+                MaskOperator(range(0, d, 2), d),
+                DenseOperator(rng.standard_normal((1, d))),
+                ScaledIdentityOperator(0.7, d),
+            ]
+            for op in operators:
+                obs = LinearGaussianObservation(op, 0.25, np.zeros(op.out_dim))
+                root = sample_kappa(obs, t, QueuedDraws(np.eye(d)), size=d)
+                sigma = dense_sigma_t(op, 0.25, t)
+                np.testing.assert_allclose(root.T @ root, sigma, rtol=0, atol=1e-12)
 
     def test_progressed_state_moments(self, toy1_obs):
         t, dt = 0.5, 0.125
@@ -531,6 +573,67 @@ class TestJointMoments:
         assert np.all(np.abs(nxt.mean(axis=0) - mean_oracle) <= 3 * mean_standard_errors(nxt))
         emp = np.cov(nxt.T, ddof=1)
         assert np.all(np.abs(emp - cov_oracle) <= 3 * covariance_standard_errors(nxt))
+
+
+def chain_operators(d):
+    """A dense row, a mask and a circulant blur on R^d."""
+    rng = np.random.default_rng(d)
+    return [
+        DenseOperator(rng.standard_normal((1, d))),
+        MaskOperator(range(0, d, 2), d),
+        Circulant1DOperator(blur_kernel(d)),
+    ]
+
+
+class TestChainLaw:
+    """For a one-component prior the whole chain is affine in its normals: its law, seed-free."""
+
+    @pytest.mark.parametrize("gamma", [0, 1])
+    @pytest.mark.parametrize("d", [2, 65])
+    def test_matches_the_dense_recursion(self, d, gamma):
+        rng = np.random.default_rng(70 + d)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        cov = (q * np.logspace(-2, 0, d)) @ q.T
+        prior = GaussianMixture([1.0], [0.3 * rng.standard_normal(d)], 0.5 * (cov + cov.T))
+        for op in chain_operators(d):
+            obs = LinearGaussianObservation(op, 0.1, rng.standard_normal(op.out_dim))
+            mean, covariance = chain_law(prior, obs, 10, gamma)
+            h, y = op.dense_matrix(), obs.observation
+            oracle = flower_chain_law(prior.means[0], prior.covariance, h, 0.1, y, 10, gamma)
+            np.testing.assert_allclose(mean, oracle[0], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(covariance, oracle[1], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 10, 100])
+    def test_unit_covariance_with_kappa_is_the_exact_posterior(self, n_steps):
+        """Sigma = I, gamma = 1: the output's law is the posterior at every N."""
+        prior = GaussianMixture([1.0], [[0.4, -0.2]], 1.0)
+        for op in chain_operators(2):
+            y = np.linspace(-1.0, 1.0, op.out_dim)
+            obs = LinearGaussianObservation(op, 0.25, y)
+            mean, covariance = chain_law(prior, obs, n_steps, 1)
+            _, means, cov = posterior_by_scipy_cholesky(
+                [1.0], prior.means, prior.covariance, op.dense_matrix(), 0.25, y
+            )
+            np.testing.assert_allclose(mean, means[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(covariance, cov, rtol=0, atol=1e-12)
+
+
+class TestSmallNoise:
+    @pytest.mark.parametrize("noise_std", [1e-2, 1e-8, 1e-12, 1e-20, 1e-50])
+    def test_no_leak_into_the_null_space(self, toy_prior, noise_std):
+        """One row h = [15, 15]: the data pins x along h, the prior keeps the null direction.
+
+        The prox's data term is exactly 0 on H's null space, so however small
+        s is, the null component stays at the prior's scale and the mean
+        along h is y / |h|.
+        """
+        h = np.array([15.0, 15.0])
+        h_hat = h / np.linalg.norm(h)
+        obs = LinearGaussianObservation(DenseOperator([h]), noise_std, [1.0])
+        cfg = FlowerConfig(n_steps=50, gamma=0, noise_std=noise_std, seed=1)
+        x1 = run_batch(AnalyticGmmField(toy_prior), obs, cfg, 400)
+        assert np.max(np.abs(x1 @ [-h_hat[1], h_hat[0]])) <= 1.0
+        assert np.mean(x1 @ h_hat) == pytest.approx(1.0 / np.linalg.norm(h), rel=0, abs=1e-6)
 
 
 class FailsAtStep:

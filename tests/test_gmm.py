@@ -73,7 +73,7 @@ class TestConstruction:
 class TestObservation:
     @pytest.mark.parametrize("noise_std", [0.0, -0.1, np.nan, np.inf, 1e-160, 1e-200, 1e155])
     def test_noise_square_and_its_inverse_must_be_finite_and_nonzero(self, noise_std):
-        """The prox and the posterior divide by s^2: 1e-160 squares to a subnormal whose
+        """The prox multiplies through by s^2: 1e-160 squares to a subnormal whose
         inverse overflows, 1e-200 squares to 0 and 1e155 to inf."""
         with pytest.raises(ValueError, match="noise_std must be finite and > 0"):
             LinearGaussianObservation(DenseOperator([[1.0]]), noise_std, [0.0])
@@ -81,7 +81,8 @@ class TestObservation:
     @pytest.mark.parametrize("noise_std", [1e-150, 1e-3, 1, 1e150])
     def test_noise_inside_the_float_range_is_kept(self, noise_std):
         obs = LinearGaussianObservation(DenseOperator([[1.0]]), noise_std, [0.0])
-        assert np.isfinite(obs.data_rhs).all() and obs.noise_std == noise_std
+        post = posterior_linear_gaussian(GaussianMixture([1.0], [[0.5]], 1.0), obs)
+        assert np.isfinite(post.covariance).all() and obs.noise_std == noise_std
 
 
 class TestLogDensity:
@@ -292,7 +293,7 @@ class TestPosterior:
         assert h_hat @ post.covariance @ h_hat == pytest.approx(var_along, rel=0, abs=tol)
         assert null @ post.covariance @ null == pytest.approx(var, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("noise_std", [0.25, 1e-3])
+    @pytest.mark.parametrize("noise_std", [0.25, 1e-3, 1e-10, 1e-30])
     def test_repeated_row_is_one_row_at_lower_noise(self, toy_prior, noise_std):
         """m > rank H: a row measured twice at noise s is that row once at s / sqrt(2)."""
         h, y = [1.5, 1.3], 0.4
@@ -306,6 +307,97 @@ class TestPosterior:
         np.testing.assert_allclose(twice.weights, once.weights, rtol=0, atol=1e-12)
         np.testing.assert_allclose(twice.means, once.means, rtol=0, atol=1e-12)
         np.testing.assert_allclose(twice.covariance, once.covariance, rtol=0, atol=1e-12)
+
+
+def one_row_means(means, h, y, var, noise_std):
+    """Closed form for Sigma = var I and one row h: only the part along h moves."""
+    h = np.asarray(h, dtype=float)
+    gain = var * h / (var * (h @ h) + noise_std**2)
+    return means + np.outer(y - means @ h, gain)
+
+
+def mask_means(means, kept, y, var, noise_std):
+    out = means.copy()
+    out[:, kept] += var / (var + noise_std**2) * (y - means[:, kept])
+    return out
+
+
+def circulant_means(means, kernel, y, var, noise_std):
+    """Closed form frequency by frequency; a zero of the kernel's spectrum keeps the prior."""
+    k_hat = np.fft.fft(kernel)
+    gain = var * np.conj(k_hat) / (var * np.abs(k_hat) ** 2 + noise_std**2)
+    return means + np.fft.ifft(gain * (np.fft.fft(y) - k_hat * np.fft.fft(means))).real
+
+
+# (operator, observation, closed-form means, squared singular values of H)
+SWEEP = {
+    "row": (
+        DenseOperator([[1.5, 1.3]]),
+        [1.0],
+        lambda mu, var, s: one_row_means(mu, [1.5, 1.3], 1.0, var, s),
+        [1.5**2 + 1.3**2, 0.0],
+    ),
+    "mask": (
+        MaskOperator([0, 2], 4),
+        [0.3, -0.1],
+        lambda mu, var, s: mask_means(mu, [0, 2], [0.3, -0.1], var, s),
+        [1.0, 1.0, 0.0, 0.0],
+    ),
+    "circulant": (
+        Circulant1DOperator([0.5, 0.5, 0.0, 0.0]),
+        [1.0, -0.5, 0.25, 0.8],
+        lambda mu, var, s: circulant_means(mu, [0.5, 0.5, 0, 0], [1.0, -0.5, 0.25, 0.8], var, s),
+        [1.0, 0.5, 0.5, 0.0],
+    ),
+    # a row measured twice at s is that row once at s / sqrt(2)
+    "repeated_row": (
+        DenseOperator([[1.5, 1.3], [1.5, 1.3]]),
+        [0.4, 0.4],
+        lambda mu, var, s: one_row_means(mu, [1.5, 1.3], 0.4, var, s / np.sqrt(2.0)),
+        [2 * (1.5**2 + 1.3**2), 0.0],
+    ),
+}
+
+
+class UnitSampler:
+    """Stands in for a Generator in GaussianMixture.sample: component 0, then unit normals."""
+
+    def choice(self, n_components, size, p):
+        return np.zeros(size, dtype=int)
+
+    def standard_normal(self, shape):
+        return np.eye(*shape)
+
+
+class TestNoiseSweep:
+    """The posterior from s = 1e-1 to 1e-50 on rows off the axes, a mask and a singular blur."""
+
+    @pytest.mark.parametrize("noise_std", [1e-1, 1e-4, 1e-8, 1e-12, 1e-20, 1e-50])
+    @pytest.mark.parametrize("case", SWEEP)
+    def test_closed_form_at_every_noise_level(self, case, noise_std):
+        """Means to 1e-12; the covariance root's columns are sigma s / sqrt(sigma^2 S^2 + s^2).
+
+        F = L V diag(c) has orthogonal columns of length sigma c for Sigma =
+        sigma^2 I, so fed unit normals a zero-mean posterior returns them, and
+        their lengths give the variance along each observed direction, and
+        sigma along the null space, however far below sigma's last bit it lies.
+        """
+        op, y, closed_form, singular_squares = SWEEP[case]
+        d, var = op.in_dim, TOY_COV
+        means = np.random.default_rng(d).uniform(-0.5, 0.5, (3, d))
+        prior = GaussianMixture(TOY_WEIGHTS, means, var)
+        post = posterior_linear_gaussian(prior, LinearGaussianObservation(op, noise_std, y))
+        expected = closed_form(means, var, noise_std)
+        np.testing.assert_allclose(post.means, expected, rtol=0, atol=1e-12)
+        assert np.all(post.weights > 0)
+        centered = GaussianMixture([1.0], np.zeros((1, d)), var)
+        zero = LinearGaussianObservation(op, noise_std, np.zeros(op.out_dim))
+        columns = posterior_linear_gaussian(centered, zero).sample(UnitSampler(), d)
+        lam = np.array(singular_squares)
+        lengths = np.sqrt(var) * noise_std / np.sqrt(var * lam + noise_std**2)
+        np.testing.assert_allclose(
+            np.sort(np.linalg.norm(columns, axis=1)), np.sort(lengths), rtol=1e-12, atol=0
+        )
 
 
 class TestMarginalAtTime:

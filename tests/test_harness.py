@@ -902,33 +902,34 @@ class TestStagedOutput:
         assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["solve", "posterior-exact"])
-    @pytest.mark.parametrize(
-        "matrix, why",
-        [
-            # a repeated row at tiny noise: the predictive covariance cannot be factored
-            ("[[1.5, 1.5], [1.5, 1.5]]", "Matrix is not positive definite"),
-            # it can, but the posterior covariance fails the posterior GMM's own check
-            ("[[1.5, 1.3], [1.5, 1.3]]", "covariance is not positive definite"),
-        ],
-    )
-    def test_failed_exact_posterior_exits_3(self, tmp_path, capsys, verb, matrix, why):
-        path = tmp_path / "sharp.cfg"
-        text = MINI_TOY.replace(
-            "operator = row_vector\nh = [1.5, 1.5]", f"operator = dense\nmatrix = {matrix}"
-        )
-        text = text.replace("y = [1.0]", "y = [1.0, 1.0]")
-        path.write_text(text.replace("noise_std = 0.25", "noise_std = 1e-10"))
+    def test_failed_exact_posterior_exits_3(self, tmp_path, capsys, verb):
+        """y = 1e160: the residuals' squares overflow the weights, which the posterior refuses."""
+        path = tmp_path / "far.cfg"
+        path.write_text(MINI_TOY.replace("y = [1.0]", "y = [1e160]"))
         out = tmp_path / "out"
         assert main([verb, "--config", str(path), "--out", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err
+        why = "weights, means or covariance root not finite"
         assert err == f"numerical failure: exact posterior: {why}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["solve", "posterior-exact"])
+    def test_huge_row_is_solved(self, tmp_path, verb):
+        """h = [1e200, 1e200]: S^2 would overflow, sqrt(S^2 + s^2) does not."""
+        path = tmp_path / "huge.cfg"
+        path.write_text(MINI_TOY.replace("h = [1.5, 1.5]", "h = [1e200, 1e200]"))
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        lines = read_csv_body(out / "exact_posterior_samples.csv")
+        samples = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[3:]])
+        # the data pin x along h to y / |h| (about 3.5e-201), up to the samples' rounding
+        assert np.max(np.abs(samples @ [1.0, 1.0])) <= 1e-15
+        assert np.std(samples @ [1.0, -1.0]) > 0.1
+
     def test_non_finite_metric_exits_3_and_publishes_nothing(self, tmp_path, capsys):
-        """Samples near 1e282 overflow the moments and sliced-W2; metrics.json holds JSON only."""
-        text = MINI_TOY.replace("h = [1.5, 1.5]", "h = [15, 15]").replace("gamma = 1", "gamma = 0")
+        """A prior covariance of 1e306 overflows the sample moments; metrics.json holds JSON."""
         path = tmp_path / "overflow.cfg"
-        path.write_text(text.replace("noise_std = 0.25", "noise_std = 1e-150"))
+        path.write_text(MINI_TOY.replace("covariance = 0.0625", "covariance = 1e306"))
         out = tmp_path / "earlier"
         out.mkdir()
         (out / "metrics.json").write_text("{}\n")

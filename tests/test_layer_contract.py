@@ -85,9 +85,10 @@ def test_wrapped_operator_gives_byte_identical_samples(make_operator):
     wrapped = ForwardingOperator(obs.operator)
     traced = run_batch(field, replace(obs, operator=wrapped), cfg, 8)
     assert traced.tobytes() == bare.tobytes()
-    # one factorization for the whole run, no Gram action per step
-    assert wrapped.calls["gram_matrix"] == 1
-    assert wrapped.calls["gram_apply"] == 0
+    # one factorization (the SVD of the forwarded dense matrix) for the whole run,
+    # no Gram action per step
+    assert wrapped.calls["dense_matrix"] == 1
+    assert wrapped.calls["gram_matrix"] == wrapped.calls["gram_apply"] == 0
 
 
 def replay(field, obs, cfg, n_runs):
