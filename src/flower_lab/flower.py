@@ -17,8 +17,8 @@ Step 2 has two public halves, ``refine_mean`` (mu_t) and ``sample_kappa``
 factored once per operator.  Multiplied through by s^2, the system there is
 diag(a + S^2) with a = s^2 nu_t^-2, and its data term S W^T y is exactly 0
 on H's null space however small s is.  So the mean is a scaling, and kappa
-is (xi s / sqrt(a + S^2)) V^T for xi ~ N(0, I_d).  An operator without a
-dense matrix falls back to matrix-free CG and a two-noise kappa draw.
+is (xi s / sqrt(a + S^2)) V^T for xi ~ N(0, I_d).  Every operator has that
+SVD, so this is the one way step 2 is solved.
 
 The step functions accept a single state ``(d,)`` or a lockstep batch
 ``(n, d)``.  ``run_batch`` is the one driver and the one place that
@@ -36,7 +36,7 @@ import numpy as np
 
 from .flow import VelocityField
 from .gmm import LinearGaussianObservation
-from .operators import solve_spd
+from .operators import solve_spd  # noqa: F401 - perfbench/tracer.py wraps it by name
 
 __all__ = [
     "FlowerConfig",
@@ -89,14 +89,6 @@ class FlowerRunError(RuntimeError):
         self.step = step
 
 
-def _svd(obs: LinearGaussianObservation):
-    """The operator's ``svd`` (W, S, V), or None for an operator without a dense matrix."""
-    try:
-        return obs.operator.svd
-    except NotImplementedError:
-        return None
-
-
 def _scale_columns(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """z * scale, in place for a contiguous z, for a (d,) scale and a 1-D or (n, d) z.
 
@@ -109,23 +101,10 @@ def _scale_columns(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return flat.reshape(z.shape)
 
 
-def _prox_solve(obs: LinearGaussianObservation, rhs: np.ndarray, a: float) -> np.ndarray:
-    """Solve (a I + H^T H) z = rhs by matrix-free CG, one row at a time.
-
-    The path of an operator without a dense matrix, and so without ``svd``.
-    """
-
-    def matvec(v):
-        return a * v + obs.operator.gram_apply(v)
-
-    # 1e-12 matches the SVD path to 1e-8
-    if rhs.ndim == 1:
-        return solve_spd(matvec, rhs, 1e-12)
-    return np.stack([solve_spd(matvec, row, 1e-12) for row in rhs])
-
-
 def destination_estimate(field: VelocityField, x_t, t: float) -> np.ndarray:
     """Step 1: the flow-consistent destination x_t + (1 - t) v(x_t, t)."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"destination estimate requires 0 <= t <= 1, got {t}")
     x_t = np.asarray(x_t, dtype=float)
     if t == 1.0:
         return x_t.copy()
@@ -139,15 +118,11 @@ def refine_mean(x1_hat, obs: LinearGaussianObservation, t: float) -> np.ndarray:
     basis mu = (a x1_hat + S W^T y) / r^2 with r = sqrt(a + S^2), for every t
     and the whole batch, scaled by a / r^2 and S / r^2, which cannot overflow.
     """
-    if t >= 1.0:
-        raise ValueError("refinement requires t < 1 (nu_t > 0)")
+    if not 0.0 <= t < 1.0:
+        raise ValueError(f"refinement requires 0 <= t < 1 (nu_t > 0), got {t}")
     x1_hat = np.asarray(x1_hat, dtype=float)
     s_nu = obs.noise_std / nu(t)
-    svd = _svd(obs)
-    if svd is None:
-        rhs = s_nu**2 * x1_hat + obs.operator.apply_adjoint(obs.observation)
-        return _prox_solve(obs, rhs, s_nu**2)
-    w, sv, v = svd
+    w, sv, v = obs.operator.svd
     r = np.hypot(s_nu, sv)
     z = _scale_columns(x1_hat @ v, (s_nu / r) ** 2)
     z += sv / r / r * (obs.observation @ w)
@@ -164,21 +139,14 @@ def sample_kappa(
 
     With Sigma_t = s^2 (a I + H^T H)^-1 = V diag(s^2 / r^2) V^T, a and r as
     in ``refine_mean``, kappa_t = (xi s / r) V^T for xi ~ N(0, I_d): d
-    normals per draw, no adjoint and no solve.  Without a dense matrix it is
-    two draws, eps1 on the signal side and eps2 on the measurement side, then
-    s (a I + H^T H)^-1 (s nu_t^-1 eps1 + H^T eps2) by a CG solve.
+    normals per draw, no adjoint and no solve.
     """
-    if t >= 1.0:
-        raise ValueError("kappa is defined for t < 1 (nu_t > 0)")
+    if not 0.0 <= t < 1.0:
+        raise ValueError(f"kappa is defined for 0 <= t < 1 (nu_t > 0), got {t}")
     op = obs.operator
     shape = () if size is None else (size,)
     s_nu = obs.noise_std / nu(t)
-    svd = _svd(obs)
-    if svd is None:
-        eps1 = rng.standard_normal(shape + (op.in_dim,))
-        eps2 = rng.standard_normal(shape + (op.out_dim,))
-        return obs.noise_std * _prox_solve(obs, s_nu * eps1 + op.apply_adjoint(eps2), s_nu**2)
-    _, sv, v = svd
+    _, sv, v = op.svd
     std = obs.noise_std / np.hypot(s_nu, sv)
     return _scale_columns(rng.standard_normal(shape + (op.in_dim,)), std) @ v.T
 
@@ -192,8 +160,8 @@ def time_progress(x1_tilde, t: float, dt: float, rng: np.random.Generator) -> np
     """
     x1_tilde = np.asarray(x1_tilde, dtype=float)
     s = t + dt
-    if s > 1.0:
-        raise ValueError(f"t + dt = {s} exceeds 1")
+    if not (t >= 0.0 and dt > 0.0 and s <= 1.0):
+        raise ValueError(f"progression needs 0 <= t, dt > 0 and t + dt <= 1, got {t}, {dt}")
     eps = rng.standard_normal(x1_tilde.shape)
     return (1.0 - s) * eps + s * x1_tilde
 

@@ -8,9 +8,8 @@ row h^T is the one-row ``DenseOperator([h])``.
 
 Every Gaussian solve in H reads one factorization, ``svd``: H = W diag(S) V^T
 from ``dense_matrix``, once per operator, so the proximal system
-(a I + H^T H) z = r is the diagonal a + S^2 in V's basis.  An operator
-without a dense matrix falls back to ``solve_spd``, matrix-free conjugate
-gradients on ``gram_apply``.
+(a I + H^T H) z = r is the diagonal a + S^2 in V's basis.  Every operator
+has a dense matrix: by default it is built column by column from ``apply``.
 
 Operators are immutable after construction and safe to share across
 threads; every action is a pure function of its inputs.
@@ -95,8 +94,8 @@ class LinearOperator:
         return self._apply_adjoint(self._apply(x))
 
     def dense_matrix(self) -> np.ndarray:
-        """Materialize H as an (out_dim, in_dim) array."""
-        raise NotImplementedError
+        """Materialize H as a C-contiguous (out_dim, in_dim) array; column j is H e_j."""
+        return np.ascontiguousarray(self.apply(np.eye(self.in_dim)).T)
 
     def gram_matrix(self) -> np.ndarray:
         """Materialize H^T H as an (in_dim, in_dim) array."""
@@ -105,7 +104,7 @@ class LinearOperator:
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_rank_svd`` of ``dense_matrix``, once; NotImplementedError without one."""
+        """``_rank_svd`` of ``dense_matrix``, once."""
         return _rank_svd(self.dense_matrix())
 
     # subclass hooks, inputs already validated
@@ -171,11 +170,6 @@ class MaskOperator(LinearOperator):
         out[..., self.kept] = u
         return out
 
-    def dense_matrix(self):
-        m = np.zeros((self.out_dim, self.in_dim))
-        m[np.arange(self.out_dim), self.kept] = 1.0
-        return m
-
 
 class Circulant1DOperator(LinearOperator):
     """Circular convolution with a fixed kernel (periodic boundary).
@@ -216,9 +210,6 @@ class ScaledIdentityOperator(LinearOperator):
 
     def _apply_adjoint(self, u):
         return self.scale * u
-
-    def dense_matrix(self):
-        return self.scale * np.eye(self.in_dim)
 
 
 class SpdSolveError(RuntimeError):

@@ -5,7 +5,6 @@ import configparser
 import numpy as np
 import pytest
 
-from flower_lab import flower
 from flower_lab.cli import main
 from flower_lab.flow import AnalyticGmmField
 from flower_lab.flower import (
@@ -30,7 +29,6 @@ from flower_lab.operators import (
     LinearOperator,
     MaskOperator,
     ScaledIdentityOperator,
-    solve_spd,
 )
 
 from conftest import MINI_TOY, blur_kernel
@@ -63,7 +61,7 @@ def high_dimensional_operators(d):
 
 
 class MatrixFreeOperator(LinearOperator):
-    """A matrix known only by its actions: no dense_matrix, hence no svd."""
+    """A matrix known only by its actions: dense_matrix and svd are the base class's."""
 
     def __init__(self, matrix):
         self._matrix = np.asarray(matrix, dtype=float)
@@ -158,6 +156,15 @@ class TestDestinationEstimate:
 
         x = np.array([1.0, 2.0])
         np.testing.assert_array_equal(destination_estimate(Zero(), x, 0.3), x)
+
+    @pytest.mark.parametrize("t", [np.nan, -0.5, 1.5])
+    def test_rejects_times_outside_the_path(self, t):
+        class Zero:
+            def eval(self, x, t):
+                return np.zeros_like(x)
+
+        with pytest.raises(ValueError, match="0 <= t <= 1"):
+            destination_estimate(Zero(), np.zeros(2), t)
 
     def test_analytic_field_gives_conditional_mean(self, toy_prior):
         field = AnalyticGmmField(toy_prior)
@@ -324,16 +331,8 @@ class TestSampleKappa:
             expected = (xi * (s / np.hypot(s / nu(t), sv))) @ v.T
             np.testing.assert_allclose(kappa, expected, rtol=1e-12, atol=1e-15)
 
-    def test_no_adjoint_gram_apply_or_prox_solve(self, monkeypatch):
+    def test_no_adjoint_gram_apply_or_prox_solve(self):
         """A kappa draw uses the cached SVD alone: one dense_matrix for twenty draws."""
-        prox_solves = []
-
-        def counting_prox_solve(*args):
-            prox_solves.append(args)
-            return prox_solve(*args)
-
-        prox_solve = flower._prox_solve
-        monkeypatch.setattr(flower, "_prox_solve", counting_prox_solve)
         rng = np.random.default_rng(63)
         op = GramCountingOperator(rng.standard_normal((40, 65)))
         obs = LinearGaussianObservation(op, 0.3, rng.standard_normal(40))
@@ -342,11 +341,10 @@ class TestSampleKappa:
             sample_kappa(obs, k / 10, rng)
         calls = (op.dense_calls, op.gram_calls, op.adjoint_calls, op.gram_apply_calls)
         assert calls == (1, 0, 0, 0)
-        assert prox_solves == []
 
 
 class TestProxHighDimension:
-    """The prox past d = 64, against dense oracles and the CG fallback."""
+    """The prox past d = 64, against dense oracles."""
 
     @pytest.mark.parametrize("d", [65, 128])
     def test_refine_mean_matches_dense_solve(self, d):
@@ -391,44 +389,27 @@ class TestProxHighDimension:
             z = np.abs(white.T @ white / n - np.eye(d)) / se
             assert np.max(z) <= 5.5, type(op).__name__
 
-    def test_matrix_free_operator_falls_back_to_cg(self, monkeypatch):
-        """No dense_matrix: every solve is a CG solve, and kappa keeps the dense law.
+    def test_matrix_free_operator_behaves_as_dense(self):
+        """Known only by its actions, an operator over A solves as DenseOperator(A), bit for bit.
 
-        Means equal the SVD path to 1e-8.  Without a basis, kappa is the
-        two-noise construction, linear in its d + m normals: fed the unit
-        vectors, it returns the rows of a square root R of its covariance, and
-        R^T R times the dense precision must be I to 1e-8.
+        Its default dense matrix is A itself, C-contiguous as DenseOperator's
+        copy is, so the SVD and everything read from it are the same.
         """
         rng = np.random.default_rng(3)
         d, m, s = 65, 40, 0.3
         a = rng.standard_normal((m, d)) / np.sqrt(d)
-        y = rng.standard_normal(m)
-        free = LinearGaussianObservation(MatrixFreeOperator(a), s, y)
-        dense = LinearGaussianObservation(DenseOperator(a), s, y)
-        with pytest.raises(NotImplementedError):
-            free.operator.svd
-        cg_solves = []
-
-        def counting_solve_spd(matvec, b, rel_tolerance=1e-10):
-            cg_solves.append(b.shape)
-            return solve_spd(matvec, b, rel_tolerance)
-
-        monkeypatch.setattr(flower, "solve_spd", counting_solve_spd)
-        xhat = rng.standard_normal((3, d))
-        for t in (0.0, 0.5, 0.9):
-            for x in (xhat[0], xhat):
-                np.testing.assert_allclose(
-                    refine_mean(x, free, t), refine_mean(x, dense, t), rtol=1e-8
-                )
-            kappa = sample_kappa(free, t, np.random.default_rng(5), size=3)
-            assert kappa.shape == (3, d) and np.all(np.isfinite(kappa))
-        # per t: one single-row mean, three batched mean rows, three kappa rows
-        assert len(cg_solves) == 3 * 7
-        unit = np.eye(d + m)
-        for t in (0.0, 0.5, 0.9):
-            root = sample_kappa(free, t, QueuedDraws(unit[:, :d], unit[:, d:]), size=d + m)
-            precision = dense_precision(dense.operator, s, t)
-            np.testing.assert_allclose(root.T @ root @ precision, np.eye(d), rtol=0, atol=1e-8)
+        free_op = MatrixFreeOperator(a)
+        assert free_op.dense_matrix().tobytes() == a.tobytes()
+        assert free_op.dense_matrix().flags.c_contiguous
+        prior = GaussianMixture([0.5, 0.5], 0.5 * rng.standard_normal((2, d)), 0.15**2)
+        y = a @ prior.sample(rng, 1)[0] + s * rng.standard_normal(m)
+        free, dense = (LinearGaussianObservation(op, s, y) for op in (free_op, DenseOperator(a)))
+        cfg = FlowerConfig(n_steps=10, gamma=1, noise_std=s, seed=8)
+        field = AnalyticGmmField(prior)
+        assert run_batch(field, free, cfg, 6).tobytes() == run_batch(field, dense, cfg, 6).tobytes()
+        free_post, dense_post = (posterior_linear_gaussian(prior, o) for o in (free, dense))
+        for name in ("weights", "means", "covariance"):
+            assert getattr(free_post, name).tobytes() == getattr(dense_post, name).tobytes(), name
 
     def test_factors_once_per_operator(self):
         rng = np.random.default_rng(9)
@@ -450,20 +431,6 @@ class TestProxHighDimension:
         w, sv, v = op.svd
         assert np.count_nonzero(sv) == 20 and not np.any(w[:, 20:])
         assert not any(arr.flags.writeable for arr in (w, sv, v))
-
-    def test_run_batch_never_runs_cg_on_a_circulant(self, monkeypatch):
-        def no_cg(*args, **kwargs):
-            raise AssertionError("solve_spd called")
-
-        monkeypatch.setattr(flower, "solve_spd", no_cg)
-        d = 128
-        rng = np.random.default_rng(11)
-        prior = GaussianMixture([0.5, 0.5], 0.5 * rng.standard_normal((2, d)), 0.15**2)
-        op = Circulant1DOperator(blur_kernel(d))
-        obs = LinearGaussianObservation(op, 0.05, op.apply(prior.sample(rng, 1)[0]))
-        cfg = FlowerConfig(n_steps=20, gamma=1, noise_std=0.05, seed=2)
-        x1 = run_batch(AnalyticGmmField(prior), obs, cfg, 8)
-        assert x1.shape == (8, d) and np.all(np.isfinite(x1))
 
 
 class TestRefine:
@@ -487,6 +454,13 @@ class TestRefine:
         rng.standard_normal((3, 2))  # x0
         kappa = sample_kappa(toy1_obs, 0.0, rng, size=3)
         np.testing.assert_allclose(with_noise - without, kappa, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("t", [np.nan, -0.5, 1.0])
+    def test_rejects_times_outside_the_schedule(self, toy1_obs, t):
+        with pytest.raises(ValueError, match="0 <= t < 1"):
+            refine_mean(np.zeros(2), toy1_obs, t)
+        with pytest.raises(ValueError, match="0 <= t < 1"):
+            sample_kappa(toy1_obs, t, np.random.default_rng(0))
 
     def test_mean_over_draws_recovers_mu(self, toy1_obs):
         xhat = np.array([0.1, -0.3])
@@ -526,6 +500,13 @@ class TestTimeProgress:
     def test_rejects_overshoot(self):
         with pytest.raises(ValueError):
             time_progress(np.zeros(2), 0.9, 0.2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "t, dt", [(np.nan, 0.1), (-0.5, 0.1), (1.0, 0.1), (0.5, np.nan), (0.5, 0.0), (0.5, -0.1)]
+    )
+    def test_rejects_times_outside_the_schedule(self, t, dt):
+        with pytest.raises(ValueError, match="0 <= t, dt > 0 and t \\+ dt <= 1"):
+            time_progress(np.zeros(2), t, dt, np.random.default_rng(0))
 
 
 class TestJointMoments:
@@ -576,12 +557,13 @@ class TestJointMoments:
 
 
 def chain_operators(d):
-    """A dense row, a mask and a circulant blur on R^d."""
+    """A dense row, a mask, a circulant blur and a matrix-free operator of rank d / 2 on R^d."""
     rng = np.random.default_rng(d)
     return [
         DenseOperator(rng.standard_normal((1, d))),
         MaskOperator(range(0, d, 2), d),
         Circulant1DOperator(blur_kernel(d)),
+        MatrixFreeOperator(rng.standard_normal((d // 2, d)) / np.sqrt(d)),
     ]
 
 
@@ -589,7 +571,7 @@ class TestChainLaw:
     """For a one-component prior the whole chain is affine in its normals: its law, seed-free."""
 
     @pytest.mark.parametrize("gamma", [0, 1])
-    @pytest.mark.parametrize("d", [2, 65])
+    @pytest.mark.parametrize("d", [2, 65, 128])
     def test_matches_the_dense_recursion(self, d, gamma):
         rng = np.random.default_rng(70 + d)
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))

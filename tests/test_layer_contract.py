@@ -7,10 +7,17 @@ path that reached past them would show up as a changed sample.  A tracer
 also times the solver's steps by replaying a run through the public step
 functions, so the driver must run those same functions, and its stand-in
 for ``cli.run_batch`` takes only ``(field, obs, cfg, n_runs, rng=None)``.
+The last test runs the benchmark's own tracer, ``perfbench/tracer.py``,
+against this checkout.
 """
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,3 +175,21 @@ def test_solve_calls_run_batch_as_a_tracer_forwards_it(monkeypatch, tmp_path):
     bare, traced = (sorted((tmp_path / d).iterdir()) for d in ("bare", "traced"))
     assert [p.name for p in traced] == [p.name for p in bare]
     assert [p.read_bytes() for p in traced] == [p.read_bytes() for p in bare]
+
+
+def test_benchmark_tracer_runs_on_this_checkout(tmp_path):
+    """perfbench's tracer solves a small config, replays it once and matches it bit for bit."""
+    root = Path(__file__).resolve().parents[1]
+    config = tmp_path / "mini.cfg"
+    config.write_text(MINI_TOY)
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans),
+         "solve", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    checks = json.loads(spans.read_text())["checks"]
+    assert (checks["replays"], checks["replay_mismatches"]) == (1, 0)
