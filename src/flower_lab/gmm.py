@@ -5,24 +5,19 @@ posterior under a linear-Gaussian measurement, the straight-line-path
 marginal at time t, and the conditional expectation E[X1 | Xt = x] whose
 algebra doubles as the exact velocity field.
 
-The reference functions work in log space wherever mixture responsibilities
-appear: component densities underflow long before the math stops being
-well-conditioned, especially near t = 1 where the path covariance shrinks
-like (1-t)^2.  The field works in Sigma's eigenbasis, factored once per
-prior (or, for Sigma = c I, in the standard basis with no factorization),
-where that covariance is diagonal and the responsibilities are a
-max-shifted softmax of one (K, d) x (d, n) product, kept component-major,
-(K, n): numpy reduces and broadcasts along a short last axis row by row, so
-with K of a few an (n, K) softmax spends most of a batch evaluation there.
-Everything here is numpy alone, so importing the package loads no scipy
-module.
+A mixture holds Sigma as one factor, U diag(lam) U^T, and every reader works
+in that basis, where Sigma and the path covariance t^2 Sigma + (1-t)^2 I are
+diagonal.  Responsibilities are max-shifted in log space: component densities
+underflow long before the math stops being well-conditioned, especially near
+t = 1.  The field keeps them component-major, (K, n): numpy reduces and
+broadcasts along a short last axis row by row, so with K of a few an (n, K)
+softmax spends most of a batch evaluation there.  Everything here is numpy
+alone, so importing the package loads no scipy module.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,74 +38,71 @@ _WEIGHT_TOL = 1e-12
 class GaussianMixture:
     """Mixture of K Gaussians with one shared covariance.
 
+    Sigma is held as one factor, U diag(lam) U^T, and nothing else: a scalar
+    covariance, or a matrix exactly equal to c I, is lam = c with U None (the
+    standard basis) at no d x d cost; any other matrix takes one ``eigh``.
+
     Attributes:
         weights: Mixture weights, shape ``(K,)``, nonnegative, summing to 1.
         means: Component means, shape ``(K, d)``.
-        covariance: Shared covariance, shape ``(d, d)``; a scalar argument
-            is expanded to an isotropic matrix.  When the covariance is c I
-            (a scalar argument or a matrix exactly equal to one), the field
-            skips the eigenbasis: eigh would return U = I exactly.
         log_weights: ``log(weights)``, ``-inf`` for a zero weight.
     """
 
     def __init__(self, weights, means, covariance):
-        self.weights = np.array(weights, dtype=float)
-        self.means = np.atleast_2d(np.array(means, dtype=float))
-        if self.weights.ndim != 1 or self.weights.shape[0] != self.means.shape[0]:
+        weights = np.array(weights, dtype=float)
+        means = np.atleast_2d(np.array(means, dtype=float))
+        if weights.ndim != 1 or weights.shape[0] != means.shape[0]:
             raise ValueError("weights and means disagree on component count")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.means))):
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(means))):
             raise ValueError("weights and means must be finite")
-        if np.any(self.weights < 0):
+        if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
-        if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"weights sum to {self.weights.sum()!r}, not 1")
-        d = self.means.shape[1]
+        if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
+            raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
+        d = means.shape[1]
         cov = np.asarray(covariance, dtype=float)
-        if cov.ndim == 0:
-            cov = float(cov) * np.eye(d)
-        if cov.shape != (d, d):
+        if cov.ndim and cov.shape != (d, d):
             raise ValueError(f"covariance must be ({d}, {d}), got {cov.shape}")
         if not np.all(np.isfinite(cov)):
             raise ValueError("covariance must be finite")
-        if not np.allclose(cov, cov.T, rtol=0, atol=1e-12 * max(1.0, abs(cov).max())):
-            raise ValueError("covariance must be symmetric")
-        try:
-            self._root = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance is not positive definite") from exc
-        self._finish(cov)
+        if cov.ndim == 0:
+            lam, u = float(cov), None
+        else:
+            if not np.allclose(cov, cov.T, rtol=0, atol=1e-12 * max(1.0, abs(cov).max())):
+                raise ValueError("covariance must be symmetric")
+            diag = np.diagonal(cov)
+            # one value on the diagonal and d nonzero entries: cov is exactly c I
+            if np.all(diag == diag[0]) and np.count_nonzero(cov) == d:
+                lam, u = float(diag[0]), None
+            else:
+                lam, u = np.linalg.eigh(cov)
+        if not np.min(lam) > 0:
+            raise ValueError("covariance is not positive definite")
+        self._hold(weights, means, lam, u)
 
     @classmethod
-    def _from_root(cls, weights, means, root):
-        """The mixture with covariance root root^T, keeping the computed root as its factor."""
-        if not all(np.all(np.isfinite(a)) for a in (weights, means, root)):
-            raise FloatingPointError("weights, means or covariance root not finite")
-        mix = cls.__new__(cls)
-        mix.weights, mix.means, mix._root = weights, means, root
-        mix._finish(root @ root.T)
-        return mix
+    def _from_factor(cls, weights, means, lam, u):
+        """The mixture with Sigma = U diag(lam) U^T (lam I for U None), from computed parts."""
+        if not all(np.all(np.isfinite(a)) for a in (weights, means, lam, 0.0 if u is None else u)):
+            raise FloatingPointError("weights, means or covariance factor not finite")
+        return cls.__new__(cls)._hold(weights, means, lam, u)
 
-    def _finish(self, cov):
-        """The rest of the state, from weights, means, the root and its covariance cov."""
-        self.covariance = cov
-        diag = np.diagonal(cov)
-        # c > 0 on the diagonal and d nonzero entries: cov is exactly c I
-        isotropic = np.all(diag == diag[0]) and np.count_nonzero(cov) == diag.size
-        self._isotropic_variance = float(diag[0]) if isotropic else None
-        self._log_det = 2.0 * np.linalg.slogdet(self._root)[1]
+    def _hold(self, weights, means, lam, u):
+        """Keep weights, means and the factor (lam, U, means U), all read-only; return self."""
+        self.weights, self.means = weights, means
         with np.errstate(divide="ignore"):
-            self.log_weights = np.log(self.weights)
-        for arr in (self.weights, self.means, self.covariance, self.log_weights):
-            arr.flags.writeable = False
+            self.log_weights = np.log(weights)
+        self._factor = lam, u, means if u is None else means @ u
+        for arr in (weights, means, self.log_weights, *self._factor):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return self
 
-    @cached_property
-    def covariance_eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lam, U, means @ U) with Sigma = U diag(lam) U^T, computed once; read-only."""
-        lam, u = np.linalg.eigh(self.covariance)
-        means_u = self.means @ u
-        for arr in (lam, u, means_u):
-            arr.flags.writeable = False
-        return lam, u, means_u
+    @property
+    def covariance(self) -> np.ndarray:
+        """Sigma, shape ``(d, d)``, built from the factor on each read."""
+        lam, u, _ = self._factor
+        return lam * np.eye(self.dim) if u is None else (u * lam) @ u.T
 
     @property
     def n_components(self) -> int:
@@ -125,34 +117,19 @@ class GaussianMixture:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"x has dimension {x.shape[-1]}, expected {self.dim}")
-        diff = x[..., None, :] - self.means  # (..., K, d)
-        # _root is a square root of the covariance, lower-triangular or not
-        sol = np.linalg.solve(self._root, diff.reshape(-1, self.dim).T).T
-        maha = np.sum(sol * sol, axis=-1).reshape(diff.shape[:-1])
-        log_norm = -0.5 * (self.dim * np.log(2.0 * np.pi) + self._log_det)
-        return self.log_weights + log_norm - 0.5 * maha
-
-    def log_density(self, x):
-        """Mixture log-density via log-sum-exp; scalar for (d,), (n,) for (n, d)."""
-        return _logsumexp(self.component_log_densities(x))
+        lam, u, means_u = self._factor
+        # in the factor's basis Sigma is diag(lam): sum z^2 / lam + log(2 pi lam) per k
+        diff = (x if u is None else x @ u)[..., None, :] - means_u  # (..., K, d)
+        return self.log_weights - 0.5 * np.sum(diff * diff / lam + np.log(2.0 * np.pi * lam), -1)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n i.i.d. samples: categorical component, then noise through the root."""
+        """Draw n i.i.d. samples: categorical component, then noise (z sqrt(lam)) U^T."""
         if n < 1:
             raise ValueError("n must be >= 1")
+        lam, u, _ = self._factor
         idx = rng.choice(self.n_components, size=n, p=self.weights)
-        z = rng.standard_normal((n, self.dim))
-        return self.means[idx] + z @ self._root.T
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.means
-
-    def full_covariance(self) -> np.ndarray:
-        """Covariance of the mixture (shared part plus mean spread)."""
-        m = self.mean()
-        centered = self.means - m
-        spread = (self.weights[:, None] * centered).T @ centered
-        return self.covariance + spread
+        z = rng.standard_normal((n, self.dim)) * np.sqrt(lam)
+        return self.means[idx] + (z if u is None else z @ u.T)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -190,43 +167,56 @@ def posterior_linear_gaussian(
 ) -> GaussianMixture:
     """Exact posterior of a shared-covariance GMM under a linear measurement.
 
-    The posterior is again a GMM with shared covariance.  With L Sigma's
-    factor, H L = W diag(S) V^T by ``svd``'s rank rule, s the noise standard
-    deviation, g = sqrt(S^2 + s^2) and r_k = W^T (y - H mu_k):
+    The posterior is again a GMM with shared covariance.  With L = U
+    diag(sqrt(lam)), H L = W diag(S) V^T by ``svd``'s rank rule, s the noise
+    standard deviation, g = sqrt(S^2 + s^2) and r_k = W^T (y - H mu_k):
 
-        Sigma_post = F F^T with F = L V diag(s / g), handed over as the factor
+        Sigma_post = F F^T with F = L V diag(s / g)
         mu_k_post  = mu_k + L V (S / g^2 * r_k)
         w_k_post   ~ w_k exp(-|r_k / g|^2 / 2), summed over the rank of H L
 
     with weights normalized in log space, where the log-determinant and the
-    part of y - H mu_k outside H's range cancel.  Nothing forms 1 - gain or
-    factors Sigma_post, so an observed direction keeps its variance at any s.
+    part of y - H mu_k outside H's range cancel.  Sigma_post's factor is the
+    SVD of F, or, for U None, V and lam (s / g)^2: F's columns are orthogonal.
+    Nothing forms 1 - gain, so an observed direction keeps its variance at any s.
     """
     h_dense = obs.operator.dense_matrix()
     s = obs.noise_std
+    lam, u, _ = prior._factor
     with np.errstate(over="ignore", invalid="ignore"):
-        w, sv, v = _rank_svd(h_dense @ prior._root)
+        if u is None:  # H sqrt(lam) is the operator's own SVD, scaled
+            w, sv, v = obs.operator.svd
+            sv, root = np.sqrt(lam) * sv, np.sqrt(lam) * v
+        else:
+            w, sv, v = _rank_svd(h_dense @ (u * np.sqrt(lam)))
+            root = (u * np.sqrt(lam)) @ v
         g = np.hypot(sv, s)
         # past the rank r_k holds rounding, not data
         q = np.where(sv > 0, (obs.observation - prior.means @ h_dense.T) @ w / g, 0.0)
-        root = prior._root @ v
         means_post = prior.means + (q * (sv / g)) @ root.T
         log_w = prior.log_weights - 0.5 * np.sum(q * q, axis=-1)
         weights = np.exp(log_w - _logsumexp(log_w))
-    return GaussianMixture._from_root(weights, means_post, root * (s / g))
+        if u is None:
+            factor = lam * np.square(s / g), v
+        else:
+            u_post, root_sv, _ = np.linalg.svd(root * (s / g))
+            factor = np.square(root_sv), u_post
+    return GaussianMixture._from_factor(weights, means_post, *factor)
 
 
 def marginal_at_time(prior: GaussianMixture, t: float) -> GaussianMixture:
     """Law of X_t = (1-t) X_0 + t X_1 for standard-normal X_0 independent of X_1.
 
     Means scale to t mu_k and the shared covariance becomes
-    t^2 Sigma + (1-t)^2 I; weights are unchanged.
+    t^2 Sigma + (1-t)^2 I, which in Sigma's factor only rescales lam;
+    weights are unchanged.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must be in [0, 1], got {t}")
-    d = prior.dim
-    cov = (t * t) * prior.covariance + ((1.0 - t) ** 2) * np.eye(d)
-    return GaussianMixture(prior.weights, t * prior.means, cov)
+    lam, u, _ = prior._factor
+    return GaussianMixture._from_factor(
+        prior.weights, t * prior.means, (t * t) * lam + (1.0 - t) ** 2, u
+    )
 
 
 def conditional_mean_x1(prior: GaussianMixture, x, t: float) -> np.ndarray:
@@ -240,19 +230,14 @@ def conditional_mean_x1(prior: GaussianMixture, x, t: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != prior.dim:
         raise ValueError(f"x has dimension {x.shape[-1]}, expected {prior.dim}")
-    # In Sigma's eigenbasis, z = x U, the path covariance is diag(s), the slope is
-    # diag(t lam / s) (so 1 - t slope = (1-t)^2 / s) and the k-free sum(z^2 / s) drops out.
-    # The logits are component-major, (K, n), so the softmax's reductions and
-    # broadcasts sweep the batch; the max-shift is still one per point (column).
-    # In place, because a fresh batch-sized temporary can cost page faults when
-    # the allocator has handed the heap top back between calls.
-    if prior._isotropic_variance is None:
-        lam, u, means_u = prior.covariance_eigh
-        z = x.reshape(-1, prior.dim) @ u
-    else:
-        # the standard basis, with the bits of U = I and a scalar lam
-        lam, u, means_u = prior._isotropic_variance, None, prior.means
-        z = x.reshape(-1, prior.dim).copy()
+    # In Sigma's factor, z = x U (U None: the bits of U = I), the path covariance is
+    # diag(s), the slope diag(t lam / s) (so 1 - t slope = (1-t)^2 / s) and the
+    # k-free sum(z^2 / s) drops out.  The logits are component-major, (K, n), and
+    # one max-shift per point (column).  In place, because a fresh batch-sized
+    # temporary can cost page faults when the allocator has handed the heap top
+    # back between calls.
+    lam, u, means_u = prior._factor
+    z = x.reshape(-1, prior.dim).copy() if u is None else x.reshape(-1, prior.dim) @ u
     s = (t * t) * lam + (1.0 - t) ** 2
     c = means_u * (t / s)
     resp = c @ z.T

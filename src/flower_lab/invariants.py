@@ -15,9 +15,7 @@ import numpy as np
 
 from . import flower
 from .flow import AnalyticGmmField, MinibatchOTCoupling, pairing_cost
-from .gmm import (
-    GaussianMixture, LinearGaussianObservation, conditional_mean_x1, marginal_at_time
-)
+from .gmm import GaussianMixture, LinearGaussianObservation, conditional_mean_x1
 from .operators import (
     Circulant1DOperator,
     DenseOperator,
@@ -107,12 +105,17 @@ def check_nu_schedule():
 
 
 def _inline_conditional_mean(prior, xs, t):
-    """E[X1 | Xt = xs] from the path marginal's densities and a dense solve (oracle path)."""
-    r = np.exp(marginal_at_time(prior, t).component_log_densities(xs))
+    """E[X1 | Xt = xs] from a dense Cholesky of the path covariance S (oracle path)."""
+    cov = prior.covariance
+    path_cov = t * t * cov + (1.0 - t) ** 2 * np.eye(prior.dim)
+    # log w_k - |C^-1 (x - t mu_k)|^2 / 2 with S = C C^T; the k-free terms cancel
+    diff = xs[:, None, :] - t * prior.means
+    white = np.linalg.solve(np.linalg.cholesky(path_cov), diff.reshape(-1, prior.dim).T)
+    log_r = np.log(prior.weights) - 0.5 * np.sum(white.T.reshape(diff.shape) ** 2, axis=-1)
+    r = np.exp(log_r - log_r.max(axis=-1, keepdims=True))
     mean = (r / r.sum(axis=-1, keepdims=True)) @ prior.means
-    path_cov = t * t * prior.covariance + (1.0 - t) ** 2 * np.eye(prior.dim)
     # sum_k r_k (mu_k + t Sigma S^-1 (x - t mu_k)); Sigma and S are symmetric
-    return mean + t * (xs - t * mean) @ np.linalg.solve(path_cov, prior.covariance)
+    return mean + t * (xs - t * mean) @ np.linalg.solve(path_cov, cov)
 
 
 def check_destination_identity():

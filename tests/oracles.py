@@ -66,26 +66,61 @@ def conditional_mean_by_cholesky(weights, means, cov, x, t):
     return np.sum(resp[..., None] * comp_means, axis=-2)
 
 
-def conditional_mean_in_eigenbasis(prior, x, t):
+def conditional_mean_in_eigenbasis(weights, means, cov, x, t):
     """E[X1 | Xt = x] by the field's full-covariance formula, operation by operation.
 
-    Works in the prior's cached eigenbasis (z = x U, two products with U)
-    for every covariance, isotropic ones included, so an isotropic prior's
-    shortcut can be compared with it bit for bit.
+    Works in the eigenbasis of a test-local ``eigh`` of cov (z = x U, two
+    products with U) for every covariance, isotropic ones included, so the
+    field's shortcut for c I (U None) can be compared with it bit for bit.
     """
-    lam, u, means_u = prior.covariance_eigh
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    d = means.shape[1]
+    cov = np.asarray(cov, dtype=float)
+    lam, u = np.linalg.eigh(float(cov) * np.eye(d) if cov.ndim == 0 else cov)
+    means_u = means @ u
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(np.asarray(weights, dtype=float))
     x = np.asarray(x, dtype=float)
     s = (t * t) * lam + (1.0 - t) ** 2
-    z = x.reshape(-1, prior.dim) @ u
+    z = x.reshape(-1, d) @ u
     c = means_u * (t / s)
     resp = c @ z.T
-    resp += (prior.log_weights - (0.5 * t) * np.sum(means_u * c, axis=-1))[:, None]
+    resp += (log_weights - (0.5 * t) * np.sum(means_u * c, axis=-1))[:, None]
     resp -= resp.max(axis=0)
     np.exp(resp, out=resp)
     resp /= resp.sum(axis=0)
     z *= t * lam / s
     z += resp.T @ (means_u * ((1.0 - t) ** 2 / s))
     return (z @ u.T).reshape(x.shape)
+
+
+def sample_by_cholesky(weights, means, cov, rng, n):
+    """n mixture draws as a lower Cholesky root takes them: means[k] + z L^T.
+
+    The component index and the normals come from rng in the order
+    ``GaussianMixture.sample`` draws them, so a test's data can be pinned
+    to this root whatever factor the mixture holds.
+    """
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    idx = rng.choice(means.shape[0], size=n, p=np.asarray(weights, dtype=float))
+    z = rng.standard_normal((n, means.shape[1]))
+    return means[idx] + z @ np.linalg.cholesky(cov).T
+
+
+def mixture_mean(prior):
+    """The mixture's mean, sum_k w_k mu_k."""
+    return prior.weights @ prior.means
+
+
+def mixture_covariance(prior):
+    """Covariance of the mixture: the shared part plus the spread of the means."""
+    centered = prior.means - mixture_mean(prior)
+    return prior.covariance + (prior.weights[:, None] * centered).T @ centered
+
+
+def mixture_log_density(prior, x):
+    """The mixture's log-density, scipy's logsumexp of its component log-densities."""
+    return logsumexp(prior.component_log_densities(x), axis=-1)
 
 
 def posterior_by_scipy_cholesky(weights, means, cov, h_dense, noise_std, y):

@@ -36,6 +36,7 @@ from oracles import (
     covariance_standard_errors,
     flower_chain_law,
     mean_standard_errors,
+    mixture_mean,
     posterior_by_scipy_cholesky,
 )
 
@@ -750,7 +751,7 @@ class TestRunAveraged:
         assert 0.12 <= ratio <= 0.45  # ~1/4 up to Monte Carlo noise
 
     def test_averaging_improves_posterior_mean_estimate(self, toy_prior, toy1_obs, tmp_path):
-        post_mean = posterior_linear_gaussian(toy_prior, toy1_obs).mean()
+        post_mean = mixture_mean(posterior_linear_gaussian(toy_prior, toy1_obs))
         keys = dict(n_steps=40, gamma=0, seed=9000, n_samples=100)
         single = solve_samples(tmp_path / "1", n_avg=1, **keys)
         averaged = solve_samples(tmp_path / "5", n_avg=5, **keys)

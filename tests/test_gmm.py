@@ -26,9 +26,13 @@ from oracles import (
     conditional_mean_by_quadrature,
     covariance_standard_errors,
     mean_standard_errors,
+    mixture_covariance,
     mixture_density,
+    mixture_log_density,
+    mixture_mean,
     posterior_by_scipy_cholesky,
     posterior_product_on_grid,
+    sample_by_cholesky,
 )
 
 from conftest import TOY_COV, TOY_MEANS, TOY_WEIGHTS, blur_kernel
@@ -88,27 +92,27 @@ class TestObservation:
 class TestLogDensity:
     def test_standard_normal_peak(self):
         g = GaussianMixture([1.0], [[0.0, 0.0]], 1.0)
-        assert g.log_density(np.zeros(2)) == pytest.approx(-np.log(2 * np.pi))
+        assert mixture_log_density(g, np.zeros(2)) == pytest.approx(-np.log(2 * np.pi))
 
     def test_reflection_symmetry_of_toy_prior(self, toy_prior):
         """The second and third components are mirror images across y = x."""
-        d2 = toy_prior.log_density(TOY_MEANS[1])
-        d3 = toy_prior.log_density(TOY_MEANS[2])
+        d2 = mixture_log_density(toy_prior, TOY_MEANS[1])
+        d3 = mixture_log_density(toy_prior, TOY_MEANS[2])
         assert d2 == pytest.approx(d3, rel=1e-12)
         # and the density at those two means differs from the one at mu_1
-        assert toy_prior.log_density(TOY_MEANS[0]) != pytest.approx(d2, rel=1e-6)
+        assert mixture_log_density(toy_prior, TOY_MEANS[0]) != pytest.approx(d2, rel=1e-6)
 
     def test_matches_direct_component_sum(self, toy_prior):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-1, 1, size=(40, 2))
         direct = mixture_density(TOY_WEIGHTS, TOY_MEANS, TOY_COV, xs)
         np.testing.assert_allclose(
-            np.exp(toy_prior.log_density(xs)), direct, rtol=1e-10
+            np.exp(mixture_log_density(toy_prior, xs)), direct, rtol=1e-10
         )
 
     def test_dimension_mismatch(self, toy_prior):
         with pytest.raises(ValueError):
-            toy_prior.log_density(np.zeros(3))
+            mixture_log_density(toy_prior, np.zeros(3))
 
 
 class TestLogSumExp:
@@ -133,7 +137,9 @@ class TestLogSumExp:
         with_zero = GaussianMixture([0.5, 0.0, 0.5], TOY_MEANS, TOY_COV)
         without = GaussianMixture([0.5, 0.5], TOY_MEANS[[0, 2]], TOY_COV)
         x = np.random.default_rng(3).standard_normal((10, 2))
-        np.testing.assert_allclose(with_zero.log_density(x), without.log_density(x), rtol=1e-14)
+        np.testing.assert_allclose(
+            mixture_log_density(with_zero, x), mixture_log_density(without, x), rtol=1e-14
+        )
 
 
 class TestSample:
@@ -151,7 +157,7 @@ class TestSample:
 
     def test_empirical_covariance_matches_analytic(self, toy_prior):
         draws = toy_prior.sample(np.random.default_rng(11), 100_000)
-        expected = toy_prior.full_covariance()
+        expected = mixture_covariance(toy_prior)
         # oracle: shared covariance plus spread of means about the mixture mean
         m = TOY_MEANS.mean(axis=0)
         spread = (TOY_MEANS - m).T @ (TOY_MEANS - m) / 3.0
@@ -191,7 +197,7 @@ class TestPosterior:
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
-        analytic = np.exp(post.log_density(pts))
+        analytic = np.exp(mixture_log_density(post, pts))
         cell = (axis[1] - axis[0]) ** 2
         integral = analytic.sum() * cell  # rectangle rule on the open grid
         assert integral == pytest.approx(1.0, abs=5e-4)
@@ -234,9 +240,11 @@ class TestPosterior:
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         cov = (q * np.logspace(-3, 0, d)) @ q.T
         means = 0.1 * rng.standard_normal((3, d))
-        prior = GaussianMixture([0.6, 0.3, 0.1], means, 0.5 * (cov + cov.T))
+        cov = 0.5 * (cov + cov.T)
+        prior = GaussianMixture([0.6, 0.3, 0.1], means, cov)
         op = Circulant1DOperator(blur_kernel(d)) if d > 2 else DenseOperator([[1.5, 1.5]])
-        y = op.apply(prior.sample(rng, 1)[0]) + 0.05 * rng.standard_normal(op.out_dim)
+        x = sample_by_cholesky(prior.weights, means, cov, rng, 1)[0]
+        y = op.apply(x) + 0.05 * rng.standard_normal(op.out_dim)
         post = posterior_linear_gaussian(prior, LinearGaussianObservation(op, 0.05, y))
         weights, means_post, cov_post = posterior_by_scipy_cholesky(
             prior.weights, prior.means, prior.covariance, op.dense_matrix(), 0.05, y
@@ -423,7 +431,7 @@ class TestMarginalAtTime:
         x0 = rng.standard_normal((100_000, 2))
         xt = 0.5 * x0 + 0.5 * x1
         se = covariance_standard_errors(xt)
-        assert np.all(np.abs(np.cov(xt.T) - g.full_covariance()) <= 3 * se)
+        assert np.all(np.abs(np.cov(xt.T) - mixture_covariance(g)) <= 3 * se)
 
     def test_domain(self, toy_prior):
         with pytest.raises(ValueError):
@@ -441,7 +449,7 @@ def ill_conditioned_prior(d, rng, weights=(0.6, 0.3, 0.1)):
 class TestConditionalMean:
     def test_t0_returns_mixture_mean_everywhere(self, toy_prior):
         rng = np.random.default_rng(31)
-        mix_mean = toy_prior.mean()
+        mix_mean = mixture_mean(toy_prior)
         for x in rng.uniform(-2, 2, size=(5, 2)):
             np.testing.assert_allclose(
                 conditional_mean_x1(toy_prior, x, 0.0), mix_mean, rtol=1e-12
@@ -555,7 +563,7 @@ class TestConditionalMean:
 
 
 class TestIsotropicField:
-    """A c I covariance skips the eigenbasis with the bits of U = I."""
+    """A c I covariance is held as (c, None) and the field skips U with the bits of U = I."""
 
     @pytest.mark.parametrize("d", [2, 16, 32, 1024])
     def test_bit_identical_to_the_eigenbasis_formula(self, d):
@@ -563,16 +571,18 @@ class TestIsotropicField:
         means = rng.standard_normal((3, d))
         x = rng.standard_normal((64, d))
         ts = (0.0, 0.3, 0.9, 1 - 1e-9)
+        weights = [0.5, 0.3, 0.2]
         for c in (0.15**2, 2.5):
+            # eigh of c I returns U = I and lam = c exactly, so U None must match it bit for bit
+            lam, u = np.linalg.eigh(c * np.eye(d))
+            assert np.array_equal(u, np.eye(d)) and np.all(lam == c)
             for cov in (c, c * np.eye(d)):
-                prior = GaussianMixture([0.5, 0.3, 0.2], means, cov)
+                prior = GaussianMixture(weights, means, cov)
+                assert prior._factor[:2] == (c, None)
                 got = [conditional_mean_x1(prior, x, t) for t in ts]
                 got.append(conditional_mean_x1(prior, x[0], 0.3))
-                assert "covariance_eigh" not in vars(prior)
-                lam, u, _ = prior.covariance_eigh
-                assert np.array_equal(u, np.eye(d)) and np.all(lam == c)
-                want = [conditional_mean_in_eigenbasis(prior, x, t) for t in ts]
-                want.append(conditional_mean_in_eigenbasis(prior, x[0], 0.3))
+                want = [conditional_mean_in_eigenbasis(weights, means, cov, x, t) for t in ts]
+                want.append(conditional_mean_in_eigenbasis(weights, means, cov, x[0], 0.3))
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
@@ -590,7 +600,7 @@ class TestIsotropicField:
                 np.testing.assert_allclose(
                     conditional_mean_x1(prior, x, t), oracle, rtol=0, atol=1e-9
                 )
-            assert "covariance_eigh" not in vars(prior)
+            assert prior._factor[1] is None
 
     def test_other_covariances_go_through_the_eigenbasis(self):
         d = 16
@@ -599,11 +609,13 @@ class TestIsotropicField:
         near_isotropic[0, 1] = near_isotropic[1, 0] = 1e-14
         unequal_diagonal = np.diag(np.linspace(0.5, 1.5, d))
         for cov in (ill_conditioned_prior(d, rng).covariance, near_isotropic, unequal_diagonal):
-            prior = GaussianMixture([0.6, 0.3, 0.1], rng.standard_normal((3, d)), cov)
+            weights, means = [0.6, 0.3, 0.1], rng.standard_normal((3, d))
+            prior = GaussianMixture(weights, means, cov)
             x = rng.standard_normal((20, d))
             got = conditional_mean_x1(prior, x, 0.5)
-            assert "covariance_eigh" in vars(prior)
-            assert got.tobytes() == conditional_mean_in_eigenbasis(prior, x, 0.5).tobytes()
+            assert prior._factor[1] is not None
+            want = conditional_mean_in_eigenbasis(weights, means, cov, x, 0.5)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestHighDimensionRobustness:
@@ -634,14 +646,101 @@ class TestHighDimensionRobustness:
         )
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-9 * 1e3)
 
-    def test_covariance_eigh_is_cached_and_read_only(self, prior):
-        eigh = prior.covariance_eigh
-        assert prior.covariance_eigh is eigh
-        lam, u, means_u = eigh
-        for arr in eigh:
+    def test_factor_is_read_only_and_reproduces_the_covariance(self):
+        rng = np.random.default_rng(65)
+        q, _ = np.linalg.qr(rng.standard_normal((self.D, self.D)))
+        cov = (q * np.logspace(-5, 0, self.D)) @ q.T
+        cov = 0.5 * (cov + cov.T)
+        prior = GaussianMixture([0.6, 0.3, 0.1], rng.standard_normal((3, self.D)), cov)
+        lam, u, means_u = prior._factor
+        for arr in (lam, u, means_u, prior.weights, prior.means, prior.log_weights):
             assert not arr.flags.writeable
-        np.testing.assert_allclose((u * lam) @ u.T, prior.covariance, atol=1e-12)
-        np.testing.assert_allclose(means_u @ u.T, prior.means, atol=1e-12)
+        with pytest.raises(AttributeError):
+            prior.covariance = cov
+        np.testing.assert_allclose(u.T @ u, np.eye(self.D), rtol=0, atol=1e-12)
+        np.testing.assert_allclose((u * lam) @ u.T, cov, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prior.covariance, cov, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(means_u @ u.T, prior.means, rtol=0, atol=1e-12)
+
+
+def operator_zoo(d, rng):
+    """One operator of each class on R^d; d = 2 gets a single row and one kept coordinate."""
+    kept = [0] if d == 2 else range(0, d, 2)
+    dense = [[1.5, 1.3]] if d == 2 else rng.standard_normal((d // 2, d)) / np.sqrt(d)
+    return {
+        "dense": DenseOperator(dense),
+        "mask": MaskOperator(kept, d),
+        "circulant": Circulant1DOperator([0.5, 0.5] if d == 2 else blur_kernel(d)),
+        "scaled_identity": ScaledIdentityOperator(1.3, d),
+    }
+
+
+def no_factorization(monkeypatch):
+    """Make numpy's eigh, cholesky, svd and slogdet raise for the rest of a test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored a matrix")
+
+    for name in ("eigh", "cholesky", "svd", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+class TestOneFactor:
+    """The path marginal rescales the factor, and an isotropic posterior reuses H's SVD."""
+
+    @pytest.mark.parametrize("isotropic", [True, False])
+    def test_marginal_and_its_field_factor_nothing_at_d1024(self, monkeypatch, isotropic):
+        d = 1024
+        rng = np.random.default_rng(1024)
+        cov = 0.15**2 if isotropic else np.diag(np.linspace(0.01, 1.0, d))
+        prior = GaussianMixture([0.5, 0.5], rng.standard_normal((2, d)), cov)
+        x = rng.standard_normal((8, d))
+        no_factorization(monkeypatch)
+        for t in (0.0, 0.5, 1.0):
+            marginal = marginal_at_time(prior, t)
+            assert marginal._factor[1] is prior._factor[1]
+            assert np.all(np.isfinite(conditional_mean_x1(marginal, x, 0.5)))
+
+    @pytest.mark.parametrize("d", [2, 65, 128])
+    @pytest.mark.parametrize("case", ["dense", "mask", "circulant", "scaled_identity"])
+    def test_match_the_cholesky_oracles(self, monkeypatch, d, case):
+        """The marginal's field and the isotropic posterior, factoring nothing, against scipy.
+
+        With the operator's SVD cached, the posterior reads it: no ``_rank_svd``
+        call and no numpy factorization.
+        """
+        import flower_lab.gmm as gmm
+
+        rng = np.random.default_rng(d)
+        var, ts = 0.15**2, (0.1, 0.5, 0.9)
+        prior = GaussianMixture([0.6, 0.3, 0.1], 0.3 * rng.standard_normal((3, d)), var)
+        op = operator_zoo(d, rng)[case]
+        y = op.apply(prior.sample(rng, 1)[0]) + 0.05 * rng.standard_normal(op.out_dim)
+        x = rng.standard_normal((20, d))
+        weights, means, cov = posterior_by_scipy_cholesky(
+            prior.weights, prior.means, var * np.eye(d), op.dense_matrix(), 0.05, y
+        )
+        on_marginal = [
+            conditional_mean_by_cholesky(
+                prior.weights, t * prior.means, (t * t * var + (1 - t) ** 2) * np.eye(d), x, 0.5
+            )
+            for t in ts
+        ]
+        on_post = [conditional_mean_by_cholesky(weights, means, cov, x, t) for t in ts]
+        op.svd  # noqa: B018 -- the operator's own SVD, cached before numpy's is refused
+        calls = []
+        monkeypatch.setattr(gmm, "_rank_svd", lambda a: calls.append(a.shape))
+        no_factorization(monkeypatch)
+        post = posterior_linear_gaussian(prior, LinearGaussianObservation(op, 0.05, y))
+        assert calls == [] and post._factor[1] is op.svd[2]
+        np.testing.assert_allclose(post.weights, weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(post.means, means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(post.covariance, cov, rtol=0, atol=1e-12)
+        for t, want_marginal, want_post in zip(ts, on_marginal, on_post):
+            got = conditional_mean_x1(marginal_at_time(prior, t), x, 0.5)
+            np.testing.assert_allclose(got, want_marginal, rtol=0, atol=1e-9)
+            got = conditional_mean_x1(post, x, t)
+            np.testing.assert_allclose(got, want_post, rtol=0, atol=1e-9)
 
 
 class TestAnalyticVelocity:
