@@ -21,6 +21,8 @@ no stream is shared with the solver:
 k = 1 the exact posterior samples (solve and posterior-exact write the same
 file), 2 the sliced-W2 projections, 3 the unconditional baseline, 5
 sample-prior; 4 is reserved.
+posterior-exact and sample-prior are one draw command: n_samples draws, of the
+exact posterior from k = 1 or of the prior from k = 5, into one CSV.
 """
 
 from __future__ import annotations
@@ -256,22 +258,18 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_posterior_exact(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-    samples = _exact_posterior(cfg).sample(_baseline_rng(cfg.solver.seed, 1), cfg.n_samples)
-    with _staged(cfg.output_dir) as scratch:
-        write_samples_csv(scratch / "exact_posterior_samples.csv", samples, cfg, cfg.solver.seed)
-    _say(args, f"wrote {cfg.output_dir / 'exact_posterior_samples.csv'}")
-    return EXIT_OK
+def _draw_command(filename: str, mixture, k: int):
+    """The command that writes n_samples draws of mixture(cfg), from stream k, to filename."""
 
+    def cmd(args) -> int:
+        cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
+        samples = mixture(cfg).sample(_baseline_rng(cfg.solver.seed, k), cfg.n_samples)
+        with _staged(cfg.output_dir) as scratch:
+            write_samples_csv(scratch / filename, samples, cfg, cfg.solver.seed)
+        _say(args, f"wrote {cfg.output_dir / filename}")
+        return EXIT_OK
 
-def cmd_sample_prior(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-    samples = cfg.prior.sample(_baseline_rng(cfg.solver.seed, 5), cfg.n_samples)
-    with _staged(cfg.output_dir) as scratch:
-        write_samples_csv(scratch / "prior_samples.csv", samples, cfg, cfg.solver.seed)
-    _say(args, f"wrote {cfg.output_dir / 'prior_samples.csv'}")
-    return EXIT_OK
+    return cmd
 
 
 def cmd_invariants(args) -> int:
@@ -311,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("train", cmd_train)
     add("solve", cmd_solve)
-    add("posterior-exact", cmd_posterior_exact)
-    add("sample-prior", cmd_sample_prior)
+    add("posterior-exact", _draw_command("exact_posterior_samples.csv", _exact_posterior, 1))
+    add("sample-prior", _draw_command("prior_samples.csv", lambda cfg: cfg.prior, 5))
     add("invariants", cmd_invariants, needs_config=False)
     return parser
 

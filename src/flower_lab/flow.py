@@ -78,13 +78,8 @@ class MlpField(VelocityField):
 
     def eval(self, x, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=self.mlp.dtype)
-        single = x.ndim == 1
-        xb = np.atleast_2d(x)
-        inp = np.concatenate(
-            [xb, np.full((xb.shape[0], 1), t, dtype=self.mlp.dtype)], axis=1
-        )
-        out = self.mlp.forward(inp)
-        return out[0] if single else out
+        tcol = np.full(x.shape[:-1] + (1,), t, dtype=self.mlp.dtype)
+        return self.mlp.forward(np.concatenate([x, tcol], axis=-1))
 
 
 def euler_sample(field: VelocityField, x0, n_steps: int):
@@ -102,15 +97,20 @@ def euler_sample(field: VelocityField, x0, n_steps: int):
     return x
 
 
+def _as_pair(x0s, x1s):
+    """The two batches of a coupling as float arrays, checked to have one shape."""
+    x0s = np.asarray(x0s, dtype=float)
+    x1s = np.asarray(x1s, dtype=float)
+    if x0s.shape != x1s.shape:
+        raise ValueError(f"batch shapes differ: {x0s.shape} vs {x1s.shape}")
+    return x0s, x1s
+
+
 class IndependentCoupling:
     """Keep the two independently drawn batches paired as given."""
 
     def pair(self, x0s, x1s, rng=None):
-        x0s = np.asarray(x0s, dtype=float)
-        x1s = np.asarray(x1s, dtype=float)
-        if x0s.shape != x1s.shape:
-            raise ValueError(f"batch shapes differ: {x0s.shape} vs {x1s.shape}")
-        return x0s, x1s
+        return _as_pair(x0s, x1s)
 
 
 # exact OT: the largest sub-batch solved cold, and the cap on the
@@ -219,12 +219,8 @@ class MinibatchOTCoupling:
     """
 
     def pair(self, x0s, x1s, rng=None):
-        x0s = np.asarray(x0s, dtype=float)
-        x1s = np.asarray(x1s, dtype=float)
-        if x0s.shape != x1s.shape:
-            raise ValueError(f"batch shapes differ: {x0s.shape} vs {x1s.shape}")
-        perm = self.assignment(x0s, x1s)
-        return x0s, x1s[perm]
+        x0s, x1s = _as_pair(x0s, x1s)
+        return x0s, x1s[self.assignment(x0s, x1s)]
 
     @staticmethod
     def assignment(x0s, x1s) -> np.ndarray:

@@ -17,15 +17,18 @@ Step 2 has two public halves, ``refine_mean`` (mu_t) and ``sample_kappa``
 factored once per operator.  Multiplied through by s^2, the system there is
 diag(a + S^2) with a = s^2 nu_t^-2, and its data term S W^T y is exactly 0
 on H's null space however small s is.  So the mean is a scaling, and kappa
-is (xi s / sqrt(a + S^2)) V^T for xi ~ N(0, I_d).  Every operator has that
-SVD, so this is the one way step 2 is solved.
+is (xi s / sqrt(a + S^2)) V^T for xi ~ N(0, I_d).  Both halves read their
+setup from one place, ``_step2_scales``: the check 0 <= t < 1, the SVD,
+s / nu_t and r = sqrt(a + S^2) = hypot(s / nu_t, S).  Every operator has
+that SVD, so this is the one way step 2 is solved.
 
 The step functions accept a single state ``(d,)`` or a lockstep batch
 ``(n, d)``.  ``run_batch`` is the one driver and the one place that
-composes step 2, drawing kappa only for gamma = 1.  It runs those step
+composes step 2, drawing kappa only for gamma = 1.  It calls those step
 functions on a batch of ``n`` trajectories in lockstep from one stream, and
 hands every step's stages to an optional observer.  A non-finite state stops
-it at the step and stage where it appears.
+it at the step and stage where it appears: the stage's FloatingPointError
+and any other error of a step come out as a FlowerRunError of that step.
 """
 
 from __future__ import annotations
@@ -111,6 +114,15 @@ def destination_estimate(field: VelocityField, x_t, t: float) -> np.ndarray:
     return x_t + (1.0 - t) * field.eval(x_t, t)
 
 
+def _step2_scales(obs: LinearGaussianObservation, t: float):
+    """Step 2's setup: H's SVD (W, S, V), s / nu_t and r = hypot(s / nu_t, S)."""
+    if not 0.0 <= t < 1.0:
+        raise ValueError(f"step 2 requires 0 <= t < 1 (nu_t > 0), got {t}")
+    w, sv, v = obs.operator.svd
+    s_nu = obs.noise_std / nu(t)
+    return w, sv, v, s_nu, np.hypot(s_nu, sv)
+
+
 def refine_mean(x1_hat, obs: LinearGaussianObservation, t: float) -> np.ndarray:
     """Step 2 mean: the proximal point balancing x1_hat against the data.
 
@@ -118,13 +130,8 @@ def refine_mean(x1_hat, obs: LinearGaussianObservation, t: float) -> np.ndarray:
     basis mu = (a x1_hat + S W^T y) / r^2 with r = sqrt(a + S^2), for every t
     and the whole batch, scaled by a / r^2 and S / r^2, which cannot overflow.
     """
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"refinement requires 0 <= t < 1 (nu_t > 0), got {t}")
-    x1_hat = np.asarray(x1_hat, dtype=float)
-    s_nu = obs.noise_std / nu(t)
-    w, sv, v = obs.operator.svd
-    r = np.hypot(s_nu, sv)
-    z = _scale_columns(x1_hat @ v, (s_nu / r) ** 2)
+    w, sv, v, s_nu, r = _step2_scales(obs, t)
+    z = _scale_columns(np.asarray(x1_hat, dtype=float) @ v, (s_nu / r) ** 2)
     z += sv / r / r * (obs.observation @ w)
     return z @ v.T
 
@@ -141,14 +148,10 @@ def sample_kappa(
     in ``refine_mean``, kappa_t = (xi s / r) V^T for xi ~ N(0, I_d): d
     normals per draw, no adjoint and no solve.
     """
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"kappa is defined for 0 <= t < 1 (nu_t > 0), got {t}")
-    op = obs.operator
+    _, _, v, _, r = _step2_scales(obs, t)
     shape = () if size is None else (size,)
-    s_nu = obs.noise_std / nu(t)
-    _, sv, v = op.svd
-    std = obs.noise_std / np.hypot(s_nu, sv)
-    return _scale_columns(rng.standard_normal(shape + (op.in_dim,)), std) @ v.T
+    xi = rng.standard_normal(shape + (obs.operator.in_dim,))
+    return _scale_columns(xi, obs.noise_std / r) @ v.T
 
 
 def time_progress(x1_tilde, t: float, dt: float, rng: np.random.Generator) -> np.ndarray:
@@ -166,33 +169,10 @@ def time_progress(x1_tilde, t: float, dt: float, rng: np.random.Generator) -> np
     return (1.0 - s) * eps + s * x1_tilde
 
 
-def _require_finite(k: int, arr: np.ndarray, stage: str):
+def _require_finite(arr: np.ndarray, stage: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
-        raise FlowerRunError(k, FloatingPointError(f"non-finite {stage} output"))
-
-
-def _iterate(field, obs, cfg, rng, x, observe):
-    """The lockstep iteration of a batch x of shape (n, d)."""
-    n_steps = cfg.n_steps
-    for k in range(n_steps):
-        t = k / n_steps
-        dt = (k + 1) / n_steps - t
-        x_t = x
-        try:
-            x1_hat = destination_estimate(field, x_t, t)
-            _require_finite(k, x1_hat, "field (x1_hat)")
-            mu = refine_mean(x1_hat, obs, t)
-            x1_tilde = mu + sample_kappa(obs, t, rng, mu.shape[0]) if cfg.gamma == 1 else mu
-            _require_finite(k, x1_tilde, "prox (x1_tilde)")
-            x = time_progress(x1_tilde, t, dt, rng)
-            _require_finite(k, x, "progression (x_t)")
-        except FlowerRunError:
-            raise
-        except Exception as exc:
-            raise FlowerRunError(k, exc) from exc
-        if observe is not None:
-            observe(k, t, x_t, x1_hat, mu, x1_tilde)
-    return x
+        raise FloatingPointError(f"non-finite {stage} output")
+    return arr
 
 
 def run_batch(
@@ -209,16 +189,20 @@ def run_batch(
     default ``default_rng(cfg.seed)``: x0, then per step the d normals of
     the kappa draw when gamma = 1 and the progression noise), so the output
     is deterministic given (cfg.seed, n_runs).  The solver assumes
-    cfg.noise_std, whatever the observation's.  Returns x1 of shape
-    (n_runs, d).
+    cfg.noise_std, whatever the observation's.  Each step k at t = k/N calls
+    the public step functions once each: ``destination_estimate``,
+    ``refine_mean``, ``sample_kappa`` (gamma = 1 only) and ``time_progress``.
+    Returns x1 of shape (n_runs, d).
 
     ``observe(k, t, x_t, x1_hat, mu, x1_tilde)``, if given, is called once
-    per step k after its finiteness checks, with t = k/N and the live batch
-    arrays of that step: it must copy whatever it keeps.  An error it raises
+    per step k after its finiteness checks, with the live batch arrays of
+    that step: it must copy whatever it keeps.  An error it raises
     propagates as itself.
 
     Raises:
-        FlowerRunError: a step failed or produced a non-finite state.
+        FlowerRunError: a step failed or produced a non-finite state; its
+            cause is the step's error, a FloatingPointError naming the
+            stage for a non-finite one.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -226,5 +210,19 @@ def run_batch(
         obs = replace(obs, noise_std=cfg.noise_std)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    x0 = rng.standard_normal((n_runs, obs.operator.in_dim))
-    return _iterate(field, obs, cfg, rng, x0, observe)
+    x = rng.standard_normal((n_runs, obs.operator.in_dim))
+    for k in range(cfg.n_steps):
+        t = k / cfg.n_steps
+        dt = (k + 1) / cfg.n_steps - t
+        x_t = x
+        try:
+            x1_hat = _require_finite(destination_estimate(field, x_t, t), "field (x1_hat)")
+            mu = refine_mean(x1_hat, obs, t)
+            x1_tilde = mu + sample_kappa(obs, t, rng, n_runs) if cfg.gamma == 1 else mu
+            _require_finite(x1_tilde, "prox (x1_tilde)")
+            x = _require_finite(time_progress(x1_tilde, t, dt, rng), "progression (x_t)")
+        except Exception as exc:
+            raise FlowerRunError(k, exc) from exc
+        if observe is not None:
+            observe(k, t, x_t, x1_hat, mu, x1_tilde)
+    return x

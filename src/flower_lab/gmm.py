@@ -118,6 +118,8 @@ class GaussianMixture:
         if x.shape[-1] != self.dim:
             raise ValueError(f"x has dimension {x.shape[-1]}, expected {self.dim}")
         lam, u, means_u = self._factor
+        if not np.all(lam > 0):  # a posterior variance under the double range held as 0
+            raise FloatingPointError("covariance has a zero variance, so no density")
         # in the factor's basis Sigma is diag(lam): sum z^2 / lam + log(2 pi lam) per k
         diff = (x if u is None else x @ u)[..., None, :] - means_u  # (..., K, d)
         return self.log_weights - 0.5 * np.sum(diff * diff / lam + np.log(2.0 * np.pi * lam), -1)

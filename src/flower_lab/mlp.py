@@ -1,9 +1,10 @@
 """A small fully-connected network with hand-derived reverse-mode gradients.
 
 The architecture is fixed by construction arguments: linear layers with
-SiLU activations on the hidden layers and a linear output.  Gradients are
-computed by explicit layer-by-layer backpropagation into preallocated
-buffers; there is no autodiff anywhere in this package.
+SiLU activations on the hidden layers and a linear output.  ``MlpWorkspace``
+holds the only forward and the only backward pass, both into preallocated
+buffers; gradients come from explicit layer-by-layer backpropagation, and
+there is no autodiff anywhere in this package.
 
 Checkpoints are a single binary file: a short JSON header (layer sizes,
 activation tag) followed by the raw parameter arrays, row-major, as
@@ -98,28 +99,19 @@ class Mlp:
         return Mlp(self.weights, self.biases, dtype=dtype)
 
     def forward(self, x) -> np.ndarray:
-        """Evaluate the network; accepts (in_dim,) or (n, in_dim)."""
+        """Evaluate the network on (in_dim,) or (n, in_dim), in a workspace built for the batch."""
         x = np.asarray(x, dtype=self.dtype)
-        single = x.ndim == 1
-        h = np.atleast_2d(x)
-        if h.shape[1] != self.in_dim:
-            raise ValueError(f"input width {h.shape[1]}, expected {self.in_dim}")
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = h @ w + b
-            sig = np.empty_like(z)
-            act = np.empty_like(z)
-            _silu_forward(z, sig, act)
-            h = act
-        out = h @ self.weights[-1] + self.biases[-1]
-        return out[0] if single else out
+        batch = np.atleast_2d(x)
+        out = MlpWorkspace(self, len(batch)).forward(batch)
+        return out[0] if x.ndim == 1 else out
 
 
 class MlpWorkspace:
-    """Fused forward/backward pass with buffers preallocated for one batch size.
+    """Forward and backward passes with buffers preallocated for one batch size.
 
-    This is the only implementation of the backward pass; one-shot callers
-    construct it per call, the training loop reuses a single instance so the
-    hot path never allocates.
+    This is the only implementation of either pass: ``Mlp.forward`` and other
+    one-shot callers construct it per call, the training loop reuses a single
+    instance so the hot path never allocates.
     """
 
     def __init__(self, mlp: Mlp, batch_size: int):
@@ -137,27 +129,33 @@ class MlpWorkspace:
         self.grad_w = [np.empty_like(w) for w in self.mlp.weights]
         self.grad_b = [np.empty_like(b) for b in self.mlp.biases]
 
+    def forward(self, inp: np.ndarray) -> np.ndarray:
+        """The network on inp, shape (batch_size, in_dim), layer by layer into the buffers.
+
+        Returns the out buffer, which the next call overwrites.
+        """
+        mlp, n = self.mlp, self.batch_size
+        if inp.shape != (n, mlp.in_dim):
+            raise ValueError(f"input shape {inp.shape}, expected {(n, mlp.in_dim)}")
+        h = inp
+        for w, b, z, sig, act in zip(mlp.weights, mlp.biases, self.z, self.sig, self.act):
+            np.dot(h, w, out=z)
+            z += b
+            _silu_forward(z, sig, act)
+            h = act
+        np.dot(h, mlp.weights[-1], out=self.out)
+        self.out += mlp.biases[-1]
+        return self.out
+
     def loss_and_grad(self, inp: np.ndarray, target: np.ndarray) -> float:
         """Mean squared error plus gradients, left in grad_w / grad_b.
 
         The loss is mean over the batch of the squared residual norm; the
         residual buffer is reused for its own gradient.
         """
-        mlp, n = self.mlp, self.batch_size
-        if inp.shape != (n, mlp.in_dim):
-            raise ValueError(f"input shape {inp.shape}, expected {(n, mlp.in_dim)}")
-        ws, bs = mlp.weights, mlp.biases
+        n, ws = self.batch_size, self.mlp.weights
         n_hidden = len(ws) - 1
-
-        h = inp
-        for i in range(n_hidden):
-            np.dot(h, ws[i], out=self.z[i])
-            self.z[i] += bs[i]
-            _silu_forward(self.z[i], self.sig[i], self.act[i])
-            h = self.act[i]
-        np.dot(h, ws[-1], out=self.out)
-        self.out += bs[-1]
-
+        self.forward(inp)
         self.out -= target  # residual
         loss = float(np.einsum("ij,ij->", self.out, self.out)) / n
         if not np.isfinite(loss):

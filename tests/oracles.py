@@ -179,6 +179,26 @@ def flower_chain_law(mean, cov, h_dense, noise_std, y, n_steps, gamma):
     return m, c
 
 
+def gaussian_w2(mean_a, cov_a, mean_b, cov_b) -> float:
+    """W2 between N(mean_a, cov_a) and N(mean_b, cov_b), in closed form.
+
+    W2^2 = |m_a - m_b|^2 + tr(A + B - 2 (A^1/2 B A^1/2)^1/2).  Each square
+    root is a symmetric ``eigh`` one with rounding below zero clipped, so a
+    singular covariance (a point mass included) needs no special case.
+    """
+
+    def sqrt_psd(c):
+        lam, u = np.linalg.eigh(0.5 * (c + c.T))
+        return (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T
+
+    cov_a = np.atleast_2d(np.asarray(cov_a, dtype=float))
+    cov_b = np.atleast_2d(np.asarray(cov_b, dtype=float))
+    root_a = sqrt_psd(cov_a)
+    cross = np.trace(sqrt_psd(root_a @ cov_b @ root_a))
+    shift = np.asarray(mean_a, dtype=float) - np.asarray(mean_b, dtype=float)
+    return float(np.sqrt(max(shift @ shift + np.trace(cov_a) + np.trace(cov_b) - 2 * cross, 0.0)))
+
+
 def wasserstein1d(a, b) -> float:
     """Exact W2 between two equal-size 1-D empirical distributions.
 

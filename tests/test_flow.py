@@ -25,7 +25,7 @@ from flower_lab.flow import (
 )
 from flower_lab.gmm import GaussianMixture, conditional_mean_x1
 from flower_lab.metrics import sliced_w2
-from flower_lab.mlp import Mlp
+from flower_lab.mlp import Mlp, MlpWorkspace
 
 from oracles import (
     assignment_by_scipy,
@@ -197,8 +197,9 @@ class TestCouplings:
             )
 
     def test_batch_size_mismatch(self):
-        with pytest.raises(ValueError):
-            IndependentCoupling().pair(np.zeros((3, 2)), np.zeros((4, 2)))
+        for coupling in (IndependentCoupling(), MinibatchOTCoupling()):
+            with pytest.raises(ValueError, match=r"batch shapes differ: \(3, 2\) vs \(4, 2\)"):
+                coupling.pair(np.zeros((3, 2)), np.zeros((4, 2)))
 
     def test_assignment_holds_one_cost_buffer_at_a_time(self):
         """Peak traced allocation at n = 1024: the n x n float64 cost plus at most 1 MiB."""
@@ -314,6 +315,18 @@ class TestMlpField:
         batch = field.eval(xs, 0.4)
         rows = np.stack([field.eval(x, 0.4) for x in xs])
         np.testing.assert_allclose(batch, rows, rtol=1e-14)
+        # a single point is row 0 of its one-row batch, bit for bit
+        assert rows.shape == (6, 2)
+        assert rows[0].tobytes() == field.eval(xs[:1], 0.4)[0].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_is_the_workspace_pass(self, dtype):
+        rng = np.random.default_rng(37)
+        mlp = Mlp.initialize([3, 32, 32, 2], rng, dtype=dtype)
+        xs = rng.standard_normal((50, 3)).astype(dtype)
+        out = MlpWorkspace(mlp, len(xs)).forward(xs)
+        assert out.dtype == dtype
+        assert mlp.forward(xs).tobytes() == out.tobytes()
 
     def test_network_built_from_lists_matches_arrays(self):
         rng = np.random.default_rng(23)

@@ -35,6 +35,7 @@ from conftest import MINI_TOY, blur_kernel
 from oracles import (
     covariance_standard_errors,
     flower_chain_law,
+    gaussian_w2,
     mean_standard_errors,
     mixture_mean,
     posterior_by_scipy_cholesky,
@@ -568,6 +569,9 @@ def chain_operators(d):
     ]
 
 
+N_SWEEP = (1, 2, 10, 100, 1000)
+
+
 class TestChainLaw:
     """For a one-component prior the whole chain is affine in its normals: its law, seed-free."""
 
@@ -599,6 +603,33 @@ class TestChainLaw:
             )
             np.testing.assert_allclose(mean, means[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(covariance, cov, rtol=0, atol=1e-12)
+
+    def test_bias_in_n(self):
+        """toy1's row with one component: W2 to the posterior, in closed form, over N.
+
+        With kappa it falls in N: 0.763, 0.480, 0.085, 0.013 and 0.0026 at
+        N = 1, 2, 10, 100 and 1000.  Without it, it keeps a floor: 0.305 down
+        to 0.081, above the kappa chain's from N = 10 on.
+        """
+        h, mean, cov = np.array([[1.5, 1.5]]), np.array([-0.25, -0.25]), 0.0625 * np.eye(2)
+        _, means, cov_post = posterior_by_scipy_cholesky([1.0], [mean], cov, h, 0.25, [1.0])
+
+        def w2(gamma):
+            laws = (flower_chain_law(mean, cov, h, 0.25, [1.0], n, gamma) for n in N_SWEEP)
+            return np.array([gaussian_w2(m, c, means[0], cov_post) for m, c in laws])
+
+        with_kappa, without = w2(1), w2(0)
+        assert np.all(np.diff(with_kappa) < 0)
+        assert with_kappa[-1] < 0.01
+        assert np.all(without > 0.05)
+        assert np.all(without[2:] > with_kappa[2:])
+
+    def test_gaussian_w2_oracle_on_commuting_covariances(self):
+        """Diagonal covariances, one singular: W2^2 = |m_a - m_b|^2 + sum (a^1/2 - b^1/2)^2."""
+        a, b = np.array([4.0, 0.0, 1.0]), np.array([1.0, 9.0, 1.0])
+        expected = np.sqrt(3.0**2 + np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))
+        got = gaussian_w2([3.0, 0.0, 0.0], np.diag(a), np.zeros(3), np.diag(b))
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestSmallNoise:
@@ -725,6 +756,15 @@ class TestRun:
             run_batch(FailsAtStep(3, 10, nan=True), toy1_obs, cfg, 4)
         assert err.value.step == 3
         assert "field" in str(err.value)
+
+    def test_non_finite_stage_error_is_the_cause(self, toy1_obs):
+        cfg = FlowerConfig(n_steps=10, gamma=1, noise_std=0.25, seed=1)
+        with pytest.raises(FlowerRunError) as err:
+            run_batch(FailsAtStep(3, 10, nan=True), toy1_obs, cfg, 4)
+        assert str(err.value) == "step 3: non-finite field (x1_hat) output"
+        cause = err.value.__cause__
+        assert type(cause) is FloatingPointError
+        assert str(cause) == "non-finite field (x1_hat) output"
 
     def test_solver_noise_level_overrides_observation(self, toy_prior, toy1_obs):
         """cfg.noise_std is what the solver assumes in its refinement."""

@@ -114,6 +114,13 @@ class TestLogDensity:
         with pytest.raises(ValueError):
             mixture_log_density(toy_prior, np.zeros(3))
 
+    def test_zero_variance_raises_instead_of_nan(self, toy_prior):
+        """h = [1e200, 1e200] at s = 0.25: the variance along h, about 3e-402, is held as 0."""
+        obs = LinearGaussianObservation(DenseOperator([[1e200, 1e200]]), 0.25, [1.0])
+        post = posterior_linear_gaussian(toy_prior, obs)
+        with pytest.raises(FloatingPointError, match="zero variance"):
+            post.component_log_densities(post.means)
+
 
 class TestLogSumExp:
     """The package's max-shifted log-sum-exp against scipy's."""
