@@ -66,7 +66,11 @@ class AnalyticGmmField(VelocityField):
 
 
 class MlpField(VelocityField):
-    """A trained network viewed as a velocity field; time is the last input."""
+    """A trained network viewed as a velocity field; time is the last input.
+
+    It keeps the ``MlpWorkspace`` of its last batch size, so a solve builds the
+    layers' buffers once; ``eval`` returns a copy of the workspace's output.
+    """
 
     def __init__(self, mlp: Mlp):
         if mlp.in_dim != mlp.out_dim + 1:
@@ -75,11 +79,16 @@ class MlpField(VelocityField):
             )
         self.mlp = mlp
         self.dim = mlp.out_dim
+        self._workspace = None
 
     def eval(self, x, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=self.mlp.dtype)
         tcol = np.full(x.shape[:-1] + (1,), t, dtype=self.mlp.dtype)
-        return self.mlp.forward(np.concatenate([x, tcol], axis=-1))
+        inp = np.concatenate([x, tcol], axis=-1)
+        batch = inp.reshape(-1, inp.shape[-1])
+        if self._workspace is None or self._workspace.batch_size != len(batch):
+            self._workspace = MlpWorkspace(self.mlp, len(batch))
+        return self._workspace.forward(batch).reshape(x.shape).copy()
 
 
 def euler_sample(field: VelocityField, x0, n_steps: int):
@@ -312,11 +321,8 @@ def train_cfm(target_sampler, source_sampler, coupling, cfg: TrainConfig, dim: i
     mlp = Mlp.initialize(sizes, rng, dtype=dt)
     ws = MlpWorkspace(mlp, cfg.batch_size)
 
-    adam_m = [np.zeros_like(g) for g in ws.grad_w + ws.grad_b]
-    adam_v = [np.zeros_like(g) for g in ws.grad_w + ws.grad_b]
-    params = mlp.weights + mlp.biases
-    grads = ws.grad_w + ws.grad_b
-    upd = [np.empty_like(g) for g in grads]
+    params, grads = mlp.params, ws.grads
+    m, v, u = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
 
     n, d = cfg.batch_size, dim
     inp = np.empty((n, d + 1), dt)
@@ -348,17 +354,16 @@ def train_cfm(target_sampler, source_sampler, coupling, cfg: TrainConfig, dim: i
             b1t = 1.0 - _BETA1 ** (step + 1)
             b2t = 1.0 - _BETA2 ** (step + 1)
             scale = cfg.learning_rate / b1t
-            for p, g, m, v, u in zip(params, grads, adam_m, adam_v, upd):
-                m *= _BETA1
-                m += (1.0 - _BETA1) * g
-                v *= _BETA2
-                np.multiply(g, g, out=u)
-                v += (1.0 - _BETA2) * u
-                np.sqrt(v, out=u)
-                u /= np.sqrt(b2t)
-                u += _EPSILON
-                np.divide(m, u, out=u)
-                u *= scale
-                p -= u
+            m *= _BETA1
+            m += (1.0 - _BETA1) * grads
+            v *= _BETA2
+            np.multiply(grads, grads, out=u)
+            v += (1.0 - _BETA2) * u
+            np.sqrt(v, out=u)
+            u /= np.sqrt(b2t)
+            u += _EPSILON
+            np.divide(m, u, out=u)
+            u *= scale
+            params -= u
 
     return MlpField(mlp.astype(np.float64)), losses

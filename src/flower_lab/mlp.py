@@ -6,9 +6,9 @@ holds the only forward and the only backward pass, both into preallocated
 buffers; gradients come from explicit layer-by-layer backpropagation, and
 there is no autodiff anywhere in this package.
 
-Checkpoints are a single binary file: a short JSON header (layer sizes,
-activation tag) followed by the raw parameter arrays, row-major, as
-little-endian 64-bit floats in layer order (W0, b0, W1, b1, ...).
+A network's parameters are one vector in checkpoint order (W0, b0, W1, b1,
+...), each layer row-major.  A checkpoint is a short JSON header (layer
+sizes, activation tag) followed by that vector as little-endian float64.
 """
 
 from __future__ import annotations
@@ -46,27 +46,47 @@ def _silu_backward(grad, z, sig, scratch):
     grad *= scratch
 
 
+def _layer_views(vec, widths):
+    """Per-layer (weights, biases) views of a vector in checkpoint order."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        weights.append(vec[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(vec[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 class Mlp:
-    """Feed-forward network: SiLU hidden layers, linear output."""
+    """Feed-forward network: SiLU hidden layers, linear output.
+
+    ``weights`` and ``biases`` are per-layer views of the one vector ``params``.
+    """
 
     def __init__(self, weights, biases, dtype=None):
         if len(weights) != len(biases) or not weights:
             raise ValueError("weights and biases must be equal-length, nonempty")
+        weights = [np.asarray(w) for w in weights]
+        biases = [np.asarray(b) for b in biases]
         if dtype is None:
-            dtype = np.asarray(weights[0]).dtype
+            dtype = weights[0].dtype
             if not np.issubdtype(dtype, np.floating):
                 dtype = np.float64
         dtype = np.dtype(dtype)
-        self.weights = [np.ascontiguousarray(w, dtype=dtype) for w in weights]
-        self.biases = [np.ascontiguousarray(b, dtype=dtype) for b in biases]
-        for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError("layer shape mismatch")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("parameters contain NaN or Inf")
-        for w, w_next in zip(self.weights[:-1], self.weights[1:]):
-            if w.shape[1] != w_next.shape[0]:
-                raise ValueError("consecutive layers disagree on width")
+        if weights[0].ndim != 2 or any(b.ndim != 1 for b in biases):
+            raise ValueError("weights must be 2-D and biases 1-D")
+        # sized off the first weight and the biases, so consecutive widths must agree
+        widths = [len(weights[0])] + [len(b) for b in biases]
+        for w, fan_in, fan_out in zip(weights, widths, widths[1:]):
+            if w.shape != (fan_in, fan_out):
+                raise ValueError(f"layer shape {w.shape}, expected {(fan_in, fan_out)}")
+        # each layer is converted once, here, by asarray's (unsafe) casting rule
+        layers = [a.ravel() for wb in zip(weights, biases) for a in wb]
+        self.params = np.concatenate(layers, dtype=dtype, casting="unsafe")
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("parameters contain NaN or Inf")
+        self.weights, self.biases = _layer_views(self.params, widths)
+        self.layer_sizes, self.in_dim, self.out_dim = widths, widths[0], widths[-1]
         self.dtype = dtype
 
     @classmethod
@@ -83,35 +103,16 @@ class Mlp:
             biases.append(rng.uniform(-bound, bound, size=fan_out))
         return cls(weights, biases, dtype=dtype)
 
-    @property
-    def layer_sizes(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
     def astype(self, dtype) -> "Mlp":
         return Mlp(self.weights, self.biases, dtype=dtype)
-
-    def forward(self, x) -> np.ndarray:
-        """Evaluate the network on (in_dim,) or (n, in_dim), in a workspace built for the batch."""
-        x = np.asarray(x, dtype=self.dtype)
-        batch = np.atleast_2d(x)
-        out = MlpWorkspace(self, len(batch)).forward(batch)
-        return out[0] if x.ndim == 1 else out
 
 
 class MlpWorkspace:
     """Forward and backward passes with buffers preallocated for one batch size.
 
-    This is the only implementation of either pass: ``Mlp.forward`` and other
-    one-shot callers construct it per call, the training loop reuses a single
-    instance so the hot path never allocates.
+    This is the only implementation of either pass; the trainer and ``MlpField``
+    each keep an instance.  ``grad_w`` and ``grad_b`` are per-layer views of the
+    one vector ``grads``, laid out as the network's ``params``.
     """
 
     def __init__(self, mlp: Mlp, batch_size: int):
@@ -126,8 +127,8 @@ class MlpWorkspace:
         self.out = np.empty((batch_size, widths[-1]), dt)
         self.grad_act = [np.empty_like(zi) for zi in self.z]
         self.scratch = np.empty((batch_size, max(widths[1:])), dt)
-        self.grad_w = [np.empty_like(w) for w in self.mlp.weights]
-        self.grad_b = [np.empty_like(b) for b in self.mlp.biases]
+        self.grads = np.empty_like(mlp.params)
+        self.grad_w, self.grad_b = _layer_views(self.grads, widths)
 
     def forward(self, inp: np.ndarray) -> np.ndarray:
         """The network on inp, shape (batch_size, in_dim), layer by layer into the buffers.
@@ -185,13 +186,9 @@ def save_checkpoint(mlp: Mlp, path, extra: dict | None = None) -> None:
     if extra:
         header.update(extra)
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for w, b in zip(mlp.weights, mlp.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    Path(path).write_bytes(
+        _MAGIC + len(blob).to_bytes(8, "little") + blob + mlp.params.astype("<f8").tobytes()
+    )
 
 
 def load_checkpoint(path) -> tuple[Mlp, dict]:
@@ -208,15 +205,8 @@ def load_checkpoint(path) -> tuple[Mlp, dict]:
     sizes = header["layer_sizes"]
     if not isinstance(sizes, list) or not all(type(s) is int and s >= 1 for s in sizes):
         raise ValueError(f"layer_sizes must be a list of positive integers, got {sizes!r}")
-    offset = 16 + n
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(raw, dtype="<f8", count=fan_in * fan_out, offset=offset)
-        offset += w.nbytes
-        b = np.frombuffer(raw, dtype="<f8", count=fan_out, offset=offset)
-        offset += b.nbytes
-        weights.append(w.reshape(fan_in, fan_out).copy())
-        biases.append(b.copy())
-    if offset != len(raw):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
-    return Mlp(weights, biases, dtype=np.float64), header
+    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    if len(raw) != 16 + n + 8 * count:
+        raise ValueError(f"{path}: {len(raw) - 16 - n} parameter bytes, expected {8 * count}")
+    params = np.frombuffer(raw, dtype="<f8", offset=16 + n)
+    return Mlp(*_layer_views(params, sizes), dtype=np.float64), header

@@ -2,9 +2,10 @@
 
 Everything here is computed from first principles with dense linear algebra
 or quadrature, deliberately avoiding the package's own responsibility and
-solver code so the tests remain a genuine cross-check.  The one exception is
+solver code so the tests remain a genuine cross-check.  The exceptions are
 ``cfm_loss``, the batch harness the gradient checks put around the network's
-own backward pass, which is what they test.
+own backward pass, which is what they test, and ``adam_trained_mlp``, which
+takes that pass's gradients to check the trainer's optimizer.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.linalg import cho_factor, cho_solve, cholesky, solve, solve_triangula
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
-from flower_lab.mlp import MlpWorkspace
+from flower_lab.mlp import Mlp, MlpWorkspace
 
 
 def mixture_density(weights, means, cov, x):
@@ -306,6 +307,60 @@ def cfm_loss(mlp, x0s, x1s, ts):
     loss = ws.loss_and_grad(inp, x1s - x0s)
     grads = [(dw.copy(), db.copy()) for dw, db in zip(ws.grad_w, ws.grad_b)]
     return loss, grads
+
+
+def adam_trained_mlp(target_sampler, source_sampler, coupling, cfg, dim=2):
+    """``train_cfm``'s network, with Adam written as a loop over the layers' tensors.
+
+    Per step it draws in ``train_cfm``'s documented order (target batch, source
+    batch, times, then the coupling), builds the same interpolated inputs and
+    targets in the trainer's dtype, and takes the gradients from
+    ``MlpWorkspace.loss_and_grad``.  Each weight and bias array then takes
+    bias-corrected Adam (beta = (0.9, 0.999), eps = 1e-8) with its own moment
+    arrays, in the trainer's order of floating-point operations.  Returns the
+    network in the trainer's dtype.
+    """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(cfg.seed)
+    dt = np.dtype(cfg.dtype)
+    n = cfg.batch_size
+    mlp = Mlp.initialize([dim + 1, *cfg.hidden_sizes, dim], rng, dtype=dt)
+    ws = MlpWorkspace(mlp, n)
+    params = mlp.weights + mlp.biases
+    grads = ws.grad_w + ws.grad_b
+    adam_m = [np.zeros_like(p) for p in params]
+    adam_v = [np.zeros_like(p) for p in params]
+    upd = [np.empty_like(p) for p in params]
+    inp = np.empty((n, dim + 1), dt)
+    target = np.empty((n, dim), dt)
+    for step in range(cfg.steps):
+        x1 = target_sampler(rng, n)
+        x0 = source_sampler(rng, n)
+        ts = rng.random(n)
+        x0, x1 = coupling.pair(x0, x1, rng)
+        tcol = ts[:, None]
+        np.multiply(x0, 1.0 - tcol, out=inp[:, :dim], casting="unsafe")
+        inp[:, :dim] += tcol * x1
+        inp[:, dim] = ts
+        np.subtract(x1, x0, out=target, casting="unsafe")
+        ws.loss_and_grad(inp, target)
+
+        b1t = 1.0 - beta1 ** (step + 1)
+        b2t = 1.0 - beta2 ** (step + 1)
+        scale = cfg.learning_rate / b1t
+        for p, g, m, v, u in zip(params, grads, adam_m, adam_v, upd):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            np.multiply(g, g, out=u)
+            v += (1.0 - beta2) * u
+            np.sqrt(v, out=u)
+            u /= np.sqrt(b2t)
+            u += eps
+            np.divide(m, u, out=u)
+            u *= scale
+            p -= u
+    return mlp
 
 
 def brute_force_min_pairing_cost(x0s, x1s):

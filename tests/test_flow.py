@@ -28,6 +28,7 @@ from flower_lab.metrics import sliced_w2
 from flower_lab.mlp import Mlp, MlpWorkspace
 
 from oracles import (
+    adam_trained_mlp,
     assignment_by_scipy,
     brute_force_min_pairing_cost,
     cfm_loss,
@@ -307,6 +308,48 @@ class TestCfmLoss:
             cfm_loss(mlp, np.zeros((1, 2)), np.zeros((1, 2)), [1.5])
 
 
+def mlp_layers(**swap):
+    """A 3-4-2 network's (weights, biases) lists of zeros, with the named layers swapped."""
+    layers = dict(w0=np.zeros((3, 4)), b0=np.zeros(4), w1=np.zeros((4, 2)), b1=np.zeros(2))
+    layers.update(swap)
+    return [layers["w0"], layers["w1"]], [layers["b0"], layers["b1"]]
+
+
+class TestMlp:
+    def test_layers_are_views_of_the_parameter_vector(self):
+        mlp = Mlp.initialize([3, 8, 8, 2], np.random.default_rng(53), dtype=np.float32)
+        layers = [a for wb in zip(mlp.weights, mlp.biases) for a in wb]
+        assert mlp.params.dtype == np.float32
+        np.testing.assert_array_equal(mlp.params, np.concatenate([a.ravel() for a in layers]))
+        assert all(np.shares_memory(a, mlp.params) for a in layers)
+        ws = MlpWorkspace(mlp, 4)
+        assert ws.grads.shape == mlp.params.shape
+        assert all(np.shares_memory(g, ws.grads) for g in ws.grad_w + ws.grad_b)
+
+    @pytest.mark.parametrize(
+        "swap",
+        [
+            dict(w1=[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0]]),
+            dict(b0=np.zeros(5)),
+            dict(w1=np.zeros((5, 2))),
+            dict(w0=np.zeros(3)),
+            dict(w1=np.zeros(4)),
+            dict(b1=0.0),
+            dict(w1=np.array([[0.0, np.nan]] * 4)),
+            dict(b0=np.full(4, np.inf)),
+            dict(b1=["0.5", "x"]),
+        ],
+        ids=[
+            "ragged", "wrong_bias_length", "width_mismatch", "one_d_first_weight",
+            "one_d_weight", "scalar_bias", "nan", "inf", "not_a_number",
+        ],
+    )
+    def test_malformed_layers_raise_value_error(self, swap):
+        Mlp(*mlp_layers())  # the unswapped network is well formed
+        with pytest.raises(ValueError):
+            Mlp(*mlp_layers(**swap))
+
+
 class TestMlpField:
     def test_batch_matches_single(self):
         rng = np.random.default_rng(17)
@@ -321,12 +364,26 @@ class TestMlpField:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_is_the_workspace_pass(self, dtype):
+        """Each eval, at a batch size new to the field or not, equals a fresh workspace's."""
         rng = np.random.default_rng(37)
         mlp = Mlp.initialize([3, 32, 32, 2], rng, dtype=dtype)
-        xs = rng.standard_normal((50, 3)).astype(dtype)
-        out = MlpWorkspace(mlp, len(xs)).forward(xs)
-        assert out.dtype == dtype
-        assert mlp.forward(xs).tobytes() == out.tobytes()
+        field = MlpField(mlp)
+        for n in (50, 7, 7, 50):
+            xs = rng.standard_normal((n, 2))
+            inp = np.concatenate([xs, np.full((n, 1), 0.3)], axis=1).astype(dtype)
+            out = MlpWorkspace(mlp, n).forward(inp)
+            assert out.dtype == dtype
+            assert field.eval(xs, 0.3).tobytes() == out.tobytes()
+
+    def test_eval_returns_a_copy_the_next_call_leaves_alone(self):
+        rng = np.random.default_rng(47)
+        field = MlpField(Mlp.initialize([3, 16, 16, 2], rng))
+        xs = rng.standard_normal((9, 2))
+        first = field.eval(xs, 0.2)
+        kept = first.copy()
+        second = field.eval(xs, 0.7)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.array_equal(first, second)
 
     def test_network_built_from_lists_matches_arrays(self):
         rng = np.random.default_rng(23)
@@ -335,8 +392,8 @@ class TestMlpField:
             [w.tolist() for w in arrays.weights], [b.tolist() for b in arrays.biases]
         )
         assert lists.dtype == np.float64
-        xs = rng.standard_normal((5, 3))
-        np.testing.assert_array_equal(lists.forward(xs), arrays.forward(xs))
+        xs = rng.standard_normal((5, 2))
+        np.testing.assert_array_equal(MlpField(lists).eval(xs, 0.5), MlpField(arrays).eval(xs, 0.5))
 
     def test_shape_validation(self):
         rng = np.random.default_rng(19)
@@ -362,6 +419,15 @@ class TestTrainCfm:
         np.testing.assert_array_equal(l1, l2)
         for w1, w2 in zip(f1.mlp.weights, f2.mlp.weights):
             np.testing.assert_array_equal(w1, w2)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_adam_matches_the_per_tensor_oracle(self, toy_prior, dtype):
+        cfg = self.small_cfg(steps=5, batch_size=64, dtype=dtype)
+        args = (toy_prior.sample, standard_normal_sampler(2), IndependentCoupling(), cfg)
+        field, _ = train_cfm(*args)
+        oracle = adam_trained_mlp(*args)
+        assert oracle.dtype == np.dtype(dtype)
+        assert field.mlp.params.tobytes() == oracle.astype(np.float64).params.tobytes()
 
     def test_loss_decreases(self, toy_prior):
         cfg = self.small_cfg(steps=300)

@@ -20,6 +20,7 @@ from flower_lab.flow import (
     AnalyticGmmField,
     IndependentCoupling,
     MinibatchOTCoupling,
+    TrainConfig,
     standard_normal_sampler,
     train_cfm,
 )
@@ -676,6 +677,13 @@ UNUSABLE_CHECKPOINTS = {
     "unreadable": b"",  # its read fails
 }
 
+# a usable checkpoint's bytes, damaged in its parameters
+DAMAGED_CHECKPOINTS = {
+    "truncated": lambda raw: raw[:-8],
+    "trailing": lambda raw: raw + bytes(8),
+    "non_finite": lambda raw: raw[:-8] + np.array([np.nan], "<f8").tobytes(),
+}
+
 
 class TestTrain:
     def test_checkpoint_and_loss_curve(self, mini_config, tmp_path):
@@ -688,6 +696,24 @@ class TestTrain:
         lines = read_csv_body(out / "loss.csv")
         assert lines[2] == "step,loss"
         assert len(lines) == 3 + 40
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_checkpoint_bytes_are_the_parameter_vector(self, toy_prior, tmp_path, dtype):
+        """After its header a checkpoint is the parameter vector as <f8, and load then
+        save writes the same file again, for the trained network and its trainer-dtype copy."""
+        cfg = TrainConfig(batch_size=32, steps=3, hidden_sizes=(8, 8), seed=3, dtype=dtype)
+        field, _ = train_cfm(
+            toy_prior.sample, standard_normal_sampler(2), IndependentCoupling(), cfg
+        )
+        ckpt, again = tmp_path / "a.flw", tmp_path / "b.flw"
+        for mlp in (field.mlp, field.mlp.astype(dtype)):
+            save_checkpoint(mlp, ckpt, extra={"config_sha256": "0" * 64})
+            raw = ckpt.read_bytes()
+            n = int.from_bytes(raw[8:16], "little")
+            assert raw[16 + n :] == mlp.params.astype("<f8").tobytes()
+            loaded, header = load_checkpoint(ckpt)
+            save_checkpoint(loaded, again, extra=header)
+            assert again.read_bytes() == raw
 
     def test_same_seed_identical_checkpoint_bytes(self, mini_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -743,7 +769,11 @@ class TestTrain:
 
     @pytest.mark.parametrize("verb", ["solve", "train", "posterior-exact", "sample-prior"])
     @pytest.mark.parametrize(
-        "defect", ["corrupt", "wrong_dimension", "header_not_object", "bad_layer_sizes", "unreadable"]
+        "defect",
+        [
+            "corrupt", "wrong_dimension", "header_not_object", "bad_layer_sizes", "unreadable",
+            "truncated", "trailing", "non_finite",
+        ],
     )
     def test_unusable_checkpoint_is_config_error(
         self, tmp_path, capsys, monkeypatch, defect, verb
@@ -754,6 +784,9 @@ class TestTrain:
         if defect == "wrong_dimension":
             # a field on R^3 (4 -> 3) against the mini toy's 2-D prior
             save_checkpoint(Mlp.initialize([4, 8, 3], np.random.default_rng(0)), ckpt)
+        elif defect in DAMAGED_CHECKPOINTS:
+            save_checkpoint(Mlp.initialize([3, 8, 2], np.random.default_rng(0)), ckpt)
+            ckpt.write_bytes(DAMAGED_CHECKPOINTS[defect](ckpt.read_bytes()))
         else:
             ckpt.write_bytes(UNUSABLE_CHECKPOINTS[defect])
         if defect == "unreadable":
