@@ -116,10 +116,11 @@ class _OutputFailure(Exception):
 def _staged(directory: Path):
     """Yield a scratch directory inside directory; publish its files only on success.
 
-    On success every file moves into place, metrics.json last.  On failure the
-    scratch directory goes, and so does each directory this run created that is
-    still empty: files another run placed there meanwhile stay.  An OSError
-    comes out as an _OutputFailure that names directory.
+    On success every file moves into place, metrics.json last, once no target
+    is found to be a directory.  On failure the scratch directory goes, and so
+    does each directory this run created that is still empty: files another run
+    placed there meanwhile stay.  An OSError comes out as an _OutputFailure that
+    names directory.
     """
     created = [p for p in [directory, *directory.parents] if not p.exists()]
     scratch = None
@@ -127,7 +128,11 @@ def _staged(directory: Path):
         directory.mkdir(parents=True, exist_ok=True)
         scratch = Path(tempfile.mkdtemp(prefix=".staged-", dir=directory))
         yield scratch
-        for path in sorted(scratch.iterdir(), key=lambda p: (p.name == "metrics.json", p.name)):
+        files = sorted(scratch.iterdir(), key=lambda p: (p.name == "metrics.json", p.name))
+        for target in (directory / path.name for path in files):  # before the first move
+            if target.is_dir() and not target.is_symlink():  # os.replace replaces a link
+                raise IsADirectoryError(f"{target} is a directory")
+        for path in files:
             os.replace(path, directory / path.name)
         scratch.rmdir()
     except BaseException as exc:

@@ -124,8 +124,8 @@ class IndependentCoupling:
 
 # exact OT: the largest sub-batch solved cold, and the cap on the
 # Bellman-Ford sweeps that recover a solved sub-batch's duals
-_OT_COLD_SIZE = 128
-_OT_DUAL_SWEEPS = 30
+_OT_COLD_SIZE = 64
+_OT_DUAL_SWEEPS = 10
 # bytes per temporary of a pass over a cost matrix, in whole rows: 128 rows
 # at batch 256, 16 at batch 2048, so the temporaries stay small beside it
 _OT_BLOCK_BYTES = 256 * 1024
@@ -210,7 +210,7 @@ class MinibatchOTCoupling:
     Exact assignment replaces the entropically regularized plan: it is
     deterministic and verifiable against brute force at small batch sizes.
     scipy's ``linear_sum_assignment`` solves it, warm-started: the leading
-    sub-batch of at most 128 rows and columns is solved cold, then the
+    sub-batch of at most 64 rows and columns is solved cold, then the
     sub-batch doubles up to n, each level starting from the duals of the
     level before, extended to the new columns by the c-transform.  Every
     level builds its cost in the head of one flat n**2 float64 buffer,

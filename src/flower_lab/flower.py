@@ -92,15 +92,15 @@ class FlowerRunError(RuntimeError):
         self.step = step
 
 
-def _scale_columns(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """z * scale, in place for a contiguous z, for a (d,) scale and a 1-D or (n, d) z.
+def _by_columns(ufunc, z: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """ufunc(z, row), in place for a contiguous z, for a (d,) row and a 1-D or (n, d) z.
 
-    Multiplied flat by the tiled scale, since a (d,) scale broadcast over
+    Applied flat against the tiled row, since a (d,) row broadcast over
     (n, d) takes numpy's row-by-row short-axis path at small d; the
-    products, and so the bits, are the same.
+    results, and so the bits, are the same.
     """
     flat = z.reshape(-1)
-    np.multiply(flat, np.tile(scale, flat.size // scale.size), out=flat)
+    ufunc(flat, np.tile(row, flat.size // row.size), out=flat)
     return flat.reshape(z.shape)
 
 
@@ -111,7 +111,9 @@ def destination_estimate(field: VelocityField, x_t, t: float) -> np.ndarray:
     x_t = np.asarray(x_t, dtype=float)
     if t == 1.0:
         return x_t.copy()
-    return x_t + (1.0 - t) * field.eval(x_t, t)
+    step = (1.0 - t) * field.eval(x_t, t)
+    # summed into step, unless a float32 field's step would round the float64 sum
+    return np.add(x_t, step, out=step if step.dtype == x_t.dtype else None)
 
 
 def _step2_scales(obs: LinearGaussianObservation, t: float):
@@ -131,9 +133,8 @@ def refine_mean(x1_hat, obs: LinearGaussianObservation, t: float) -> np.ndarray:
     and the whole batch, scaled by a / r^2 and S / r^2, which cannot overflow.
     """
     w, sv, v, s_nu, r = _step2_scales(obs, t)
-    z = _scale_columns(np.asarray(x1_hat, dtype=float) @ v, (s_nu / r) ** 2)
-    z += sv / r / r * (obs.observation @ w)
-    return z @ v.T
+    z = _by_columns(np.multiply, np.asarray(x1_hat, dtype=float) @ v, (s_nu / r) ** 2)
+    return _by_columns(np.add, z, sv / r / r * (obs.observation @ w)) @ v.T
 
 
 def sample_kappa(
@@ -151,7 +152,7 @@ def sample_kappa(
     _, _, v, _, r = _step2_scales(obs, t)
     shape = () if size is None else (size,)
     xi = rng.standard_normal(shape + (obs.operator.in_dim,))
-    return _scale_columns(xi, obs.noise_std / r) @ v.T
+    return _by_columns(np.multiply, xi, obs.noise_std / r) @ v.T
 
 
 def time_progress(x1_tilde, t: float, dt: float, rng: np.random.Generator) -> np.ndarray:
@@ -166,7 +167,8 @@ def time_progress(x1_tilde, t: float, dt: float, rng: np.random.Generator) -> np
     if not (t >= 0.0 and dt > 0.0 and s <= 1.0):
         raise ValueError(f"progression needs 0 <= t, dt > 0 and t + dt <= 1, got {t}, {dt}")
     eps = rng.standard_normal(x1_tilde.shape)
-    return (1.0 - s) * eps + s * x1_tilde
+    eps *= 1.0 - s
+    return np.add(eps, s * x1_tilde, out=eps)
 
 
 def _require_finite(arr: np.ndarray, stage: str) -> np.ndarray:

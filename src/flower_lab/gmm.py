@@ -255,4 +255,5 @@ def conditional_mean_x1(prior: GaussianMixture, x, t: float) -> np.ndarray:
 def analytic_velocity(prior: GaussianMixture, x, t: float) -> np.ndarray:
     """The exact CFM-optimal velocity (E[X1 | Xt = x] - x) / (1 - t)."""
     x = np.asarray(x, dtype=float)
-    return (conditional_mean_x1(prior, x, t) - x) / (1.0 - t)
+    v = conditional_mean_x1(prior, x, t)
+    return np.divide(np.subtract(v, x, out=v), 1.0 - t, out=v)

@@ -47,9 +47,16 @@ def _silu_backward(grad, z, sig, scratch):
 
 
 def _layer_views(vec, widths):
-    """Per-layer (weights, biases) views of a vector in checkpoint order."""
+    """Per-layer (weights, biases) views of a vector in checkpoint order.
+
+    The one place that knows the layout: a vector whose length is not the
+    parameter count of the widths is refused.
+    """
+    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+    if len(vec) != count:
+        raise ValueError(f"{len(vec)} parameters, but layer sizes {widths} take {count}")
     weights, biases, at = [], [], 0
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+    for fan_in, fan_out in zip(widths, widths[1:]):
         weights.append(vec[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
         at += fan_in * fan_out
         biases.append(vec[at : at + fan_out])
@@ -60,51 +67,39 @@ def _layer_views(vec, widths):
 class Mlp:
     """Feed-forward network: SiLU hidden layers, linear output.
 
-    ``weights`` and ``biases`` are per-layer views of the one vector ``params``.
+    The network is the vector ``params`` in checkpoint order (the array given,
+    made contiguous) and its widths ``layer_sizes``; its dtype is the vector's,
+    and ``weights`` and ``biases`` are per-layer views of ``params``.
     """
 
-    def __init__(self, weights, biases, dtype=None):
-        if len(weights) != len(biases) or not weights:
-            raise ValueError("weights and biases must be equal-length, nonempty")
-        weights = [np.asarray(w) for w in weights]
-        biases = [np.asarray(b) for b in biases]
-        if dtype is None:
-            dtype = weights[0].dtype
-            if not np.issubdtype(dtype, np.floating):
-                dtype = np.float64
-        dtype = np.dtype(dtype)
-        if weights[0].ndim != 2 or any(b.ndim != 1 for b in biases):
-            raise ValueError("weights must be 2-D and biases 1-D")
-        # sized off the first weight and the biases, so consecutive widths must agree
-        widths = [len(weights[0])] + [len(b) for b in biases]
-        for w, fan_in, fan_out in zip(weights, widths, widths[1:]):
-            if w.shape != (fan_in, fan_out):
-                raise ValueError(f"layer shape {w.shape}, expected {(fan_in, fan_out)}")
-        # each layer is converted once, here, by asarray's (unsafe) casting rule
-        layers = [a.ravel() for wb in zip(weights, biases) for a in wb]
-        self.params = np.concatenate(layers, dtype=dtype, casting="unsafe")
-        if not np.all(np.isfinite(self.params)):
+    def __init__(self, params, layer_sizes):
+        sizes = layer_sizes if isinstance(layer_sizes, (list, tuple)) else ()
+        if len(sizes) < 2 or not all(type(n) is int and n >= 1 for n in sizes):
+            raise ValueError(f"layer_sizes must be 2+ positive integers, got {layer_sizes!r}")
+        params = np.ascontiguousarray(params)
+        if params.ndim != 1 or not np.issubdtype(params.dtype, np.floating):
+            raise ValueError(f"params must be a float vector, got {params.dtype} {params.shape}")
+        if not np.all(np.isfinite(params)):
             raise ValueError("parameters contain NaN or Inf")
-        self.weights, self.biases = _layer_views(self.params, widths)
-        self.layer_sizes, self.in_dim, self.out_dim = widths, widths[0], widths[-1]
-        self.dtype = dtype
+        self.weights, self.biases = _layer_views(params, sizes)
+        self.params, self.dtype, self.layer_sizes = params, params.dtype, list(sizes)
+        self.in_dim, self.out_dim = sizes[0], sizes[-1]
 
     @classmethod
     def initialize(cls, layer_sizes, rng: np.random.Generator, dtype=np.float64):
         """Fan-in scaled uniform init: U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
 
-        The same bound is used for weights and biases so a fixed seed pins
-        every parameter bit.
+        Each layer's weights and biases are one draw in checkpoint order, with
+        the same bound for both, so a fixed seed pins every parameter bit.
         """
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(rng.uniform(-bound, bound, size=fan_out))
-        return cls(weights, biases, dtype=dtype)
+        draws = [
+            rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), (fan_in + 1) * fan_out)
+            for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:])
+        ]
+        return cls(np.concatenate(draws, dtype=dtype), layer_sizes)
 
     def astype(self, dtype) -> "Mlp":
-        return Mlp(self.weights, self.biases, dtype=dtype)
+        return Mlp(self.params.astype(dtype), self.layer_sizes)
 
 
 class MlpWorkspace:
@@ -192,7 +187,7 @@ def save_checkpoint(mlp: Mlp, path, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Mlp, dict]:
-    """Read a checkpoint; returns the float64 network and its header."""
+    """Read a checkpoint: the float64 network, read-only over the file's bytes, and its header."""
     raw = Path(path).read_bytes()
     if raw[: len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
@@ -202,11 +197,5 @@ def load_checkpoint(path) -> tuple[Mlp, dict]:
         raise ValueError(f"{path}: checkpoint header is not a JSON object")
     if header.get("activation") != "silu":
         raise ValueError(f"unsupported activation {header.get('activation')!r}")
-    sizes = header["layer_sizes"]
-    if not isinstance(sizes, list) or not all(type(s) is int and s >= 1 for s in sizes):
-        raise ValueError(f"layer_sizes must be a list of positive integers, got {sizes!r}")
-    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-    if len(raw) != 16 + n + 8 * count:
-        raise ValueError(f"{path}: {len(raw) - 16 - n} parameter bytes, expected {8 * count}")
     params = np.frombuffer(raw, dtype="<f8", offset=16 + n)
-    return Mlp(*_layer_views(params, sizes), dtype=np.float64), header
+    return Mlp(params, header.get("layer_sizes")), header

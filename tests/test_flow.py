@@ -151,9 +151,9 @@ class TestCouplings:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_warm_start_equals_one_cold_scipy_call(self, d):
-        """Every level boundary: up to 128 is solved cold, 129 starts from 65."""
+        """Every level boundary: up to 64 is solved cold, 65 starts from 33."""
         rng = np.random.default_rng(20 + d)
-        for n in (1, 2, 127, 128, 129, 255, 256, 257, 513, 1000, 2048):
+        for n in (1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 513, 1000, 2048):
             x0 = rng.standard_normal((n, d))
             x1 = 0.5 * rng.standard_normal((n, d)) + 0.25
             np.testing.assert_array_equal(
@@ -253,21 +253,24 @@ print(peaks)
         assert second_kib - first_kib <= 2048
 
 
+def mlp_of(*layers):
+    """The network of its layers W0, b0, W1, b1, ..., concatenated in checkpoint order."""
+    sizes = [len(layers[0])] + [len(b) for b in layers[1::2]]
+    return Mlp(np.concatenate([np.ravel(a) for a in layers]), sizes)
+
+
 class TestCfmLoss:
     def test_exact_residual_single_pair_gives_zero(self):
         """A constant network equal to x1 - x0 nails a single pair."""
         x0 = np.array([[0.5, -1.0]])
         x1 = np.array([[1.0, 2.0]])
         residual = (x1 - x0)[0]
-        mlp = Mlp(
-            [np.zeros((3, 8)), np.zeros((8, 2))],
-            [np.zeros(8), residual.copy()],
-        )
+        mlp = mlp_of(np.zeros((3, 8)), np.zeros(8), np.zeros((8, 2)), residual)
         loss, _ = cfm_loss(mlp, x0, x1, [0.3])
         assert loss == pytest.approx(0.0, abs=1e-30)
 
     def test_zero_network_zero_target(self):
-        mlp = Mlp([np.zeros((3, 8)), np.zeros((8, 2))], [np.zeros(8), np.zeros(2)])
+        mlp = mlp_of(np.zeros((3, 8)), np.zeros(8), np.zeros((8, 2)), np.zeros(2))
         x = np.array([[0.7, 0.7]])
         loss, grads = cfm_loss(mlp, x, x, [0.5])
         assert loss == 0.0
@@ -303,16 +306,9 @@ class TestCfmLoss:
         assert np.linalg.norm(an - fd) / np.linalg.norm(fd) <= 1e-4
 
     def test_rejects_times_outside_unit_interval(self):
-        mlp = Mlp([np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4), np.zeros(2)])
+        mlp = mlp_of(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)), np.zeros(2))
         with pytest.raises(ValueError):
             cfm_loss(mlp, np.zeros((1, 2)), np.zeros((1, 2)), [1.5])
-
-
-def mlp_layers(**swap):
-    """A 3-4-2 network's (weights, biases) lists of zeros, with the named layers swapped."""
-    layers = dict(w0=np.zeros((3, 4)), b0=np.zeros(4), w1=np.zeros((4, 2)), b1=np.zeros(2))
-    layers.update(swap)
-    return [layers["w0"], layers["w1"]], [layers["b0"], layers["b1"]]
 
 
 class TestMlp:
@@ -326,28 +322,47 @@ class TestMlp:
         assert ws.grads.shape == mlp.params.shape
         assert all(np.shares_memory(g, ws.grads) for g in ws.grad_w + ws.grad_b)
 
+    def test_network_is_its_vector_and_takes_its_dtype(self):
+        vec = np.random.default_rng(59).standard_normal(26).astype(np.float32)
+        mlp = Mlp(vec, [3, 4, 2])
+        assert mlp.params is vec and mlp.dtype == np.float32
+        assert (mlp.in_dim, mlp.out_dim, mlp.layer_sizes) == (3, 2, [3, 4, 2])
+        copy = mlp.astype(np.float64)
+        assert copy.dtype == np.float64 and copy.layer_sizes == [3, 4, 2]
+        assert not np.shares_memory(copy.params, vec)
+        np.testing.assert_array_equal(copy.params, vec.astype(np.float64))
+        strided = Mlp(np.zeros(52)[::2], [3, 4, 2])  # made contiguous, so the layers are views
+        assert all(np.shares_memory(w, strided.params) for w in strided.weights)
+
     @pytest.mark.parametrize(
-        "swap",
+        "params, sizes",
         [
-            dict(w1=[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0]]),
-            dict(b0=np.zeros(5)),
-            dict(w1=np.zeros((5, 2))),
-            dict(w0=np.zeros(3)),
-            dict(w1=np.zeros(4)),
-            dict(b1=0.0),
-            dict(w1=np.array([[0.0, np.nan]] * 4)),
-            dict(b0=np.full(4, np.inf)),
-            dict(b1=["0.5", "x"]),
+            ([[0.0, 0.0], [0.0]], [3, 4, 2]),
+            (np.zeros(25), [3, 4, 2]),
+            (np.zeros(27), [3, 4, 2]),
+            (np.zeros(26), [3, 5, 2]),
+            (np.zeros((26, 1)), [3, 4, 2]),
+            (np.zeros(26, dtype=int), [3, 4, 2]),
+            (np.r_[np.zeros(25), np.nan], [3, 4, 2]),
+            (np.r_[np.inf, np.zeros(25)], [3, 4, 2]),
+            (["0.5"] * 26, [3, 4, 2]),
+            (np.zeros(26), [3, 4.0, 2]),
+            (np.zeros(26), [3, True, 2]),
+            (np.zeros(2), [3, 0, 2]),
+            (np.zeros(0), [3]),
+            (np.zeros(26), "342"),
         ],
         ids=[
-            "ragged", "wrong_bias_length", "width_mismatch", "one_d_first_weight",
-            "one_d_weight", "scalar_bias", "nan", "inf", "not_a_number",
+            "ragged", "wrong_bias_length", "trailing", "width_mismatch", "not_a_vector",
+            "integer_dtype", "nan", "inf", "not_a_number", "fractional_size", "bool_size",
+            "zero_size", "one_size", "sizes_not_a_list",
         ],
     )
-    def test_malformed_layers_raise_value_error(self, swap):
-        Mlp(*mlp_layers())  # the unswapped network is well formed
+    def test_malformed_layers_raise_value_error(self, params, sizes):
+        """A 3-4-2 network takes 26 parameters; each case breaks one rule."""
+        Mlp(np.zeros(26), [3, 4, 2])  # the well-formed network
         with pytest.raises(ValueError):
-            Mlp(*mlp_layers(**swap))
+            Mlp(params, sizes)
 
 
 class TestMlpField:
@@ -384,16 +399,6 @@ class TestMlpField:
         second = field.eval(xs, 0.7)
         assert first.tobytes() == kept.tobytes()
         assert not np.array_equal(first, second)
-
-    def test_network_built_from_lists_matches_arrays(self):
-        rng = np.random.default_rng(23)
-        arrays = Mlp.initialize([3, 8, 2], rng)
-        lists = Mlp(
-            [w.tolist() for w in arrays.weights], [b.tolist() for b in arrays.biases]
-        )
-        assert lists.dtype == np.float64
-        xs = rng.standard_normal((5, 2))
-        np.testing.assert_array_equal(MlpField(lists).eval(xs, 0.5), MlpField(arrays).eval(xs, 0.5))
 
     def test_shape_validation(self):
         rng = np.random.default_rng(19)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flower_lab.cli import main
-from flower_lab.flow import AnalyticGmmField
+from flower_lab.flow import AnalyticGmmField, MlpField
 from flower_lab.flower import (
     FlowerConfig,
     FlowerRunError,
@@ -23,6 +23,7 @@ from flower_lab.gmm import (
     conditional_mean_x1,
     posterior_linear_gaussian,
 )
+from flower_lab.mlp import Mlp
 from flower_lab.operators import (
     Circulant1DOperator,
     DenseOperator,
@@ -180,6 +181,16 @@ class TestDestinationEstimate:
                 atol=1e-14,
             )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_is_the_float64_sum_for_a_network_of_either_dtype(self, dtype):
+        """A float32 network's drift is not summed into its own buffer, which would round."""
+        rng = np.random.default_rng(3)
+        field = MlpField(Mlp.initialize([3, 8, 2], rng, dtype=dtype))
+        x = rng.standard_normal((5, 2))
+        expected = x + (1.0 - 0.3) * field.eval(x, 0.3)
+        assert expected.dtype == np.float64
+        assert destination_estimate(field, x, 0.3).tobytes() == expected.tobytes()
+
 
 class TestRefineMean:
     def test_no_data_term_returns_input(self):
@@ -239,9 +250,13 @@ class TestRefineMean:
         oracle = np.linalg.solve(precision, rhs)
         np.testing.assert_allclose(refine_mean(xhat, obs, t), oracle, rtol=1e-10)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 65])
     def test_basis_scaling_is_the_broadcast_form_bitwise(self, d):
-        """In V's basis the prox scales by a / r^2 and S / r^2 exactly as (d,) broadcasts would."""
+        """In V's basis the prox scales by a / r^2 and S / r^2 exactly as (d,) broadcasts would.
+
+        The products read the operator's own V: a C-ordered copy of it is faster in x @ V
+        but moves the last bits of a few-row batch at d = 65 (small-matrix GEMM kernels).
+        """
         rng = np.random.default_rng(40 + d)
         op = DenseOperator(rng.standard_normal((max(d - 1, 1), d)))
         s = 0.3
@@ -249,7 +264,7 @@ class TestRefineMean:
         w, sv, v = op.svd
         for t in (0.0, 0.5, 0.9):
             r = np.hypot(s / nu(t), sv)
-            for shape in ((d,), (1, d), (257, d)):
+            for shape in ((d,), (1, d), (2, d), (257, d)):
                 xhat = rng.standard_normal(shape)
                 scaled = (xhat @ v) * (s / nu(t) / r) ** 2 + sv / r / r * (obs.observation @ w)
                 np.testing.assert_array_equal(refine_mean(xhat, obs, t), scaled @ v.T)

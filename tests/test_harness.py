@@ -885,6 +885,22 @@ class TestStagedOutput:
         assert capsys.readouterr().err == f"output failure: {out}: {DISK_FULL}\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
+    def test_a_directory_where_metrics_go_moves_no_file(
+        self, mini_config, tmp_path, capsys
+    ):
+        """metrics.json, published last, is a directory: solve fails with nothing moved."""
+        out = tmp_path / "out"
+        (out / "metrics.json").mkdir(parents=True)
+        (out / "flower_samples.csv").write_text("old\n")
+        argv = ["solve", "--config", str(mini_config), "--out", str(out), "--quiet"]
+        assert main(argv) == cli.EXIT_OUTPUT
+        assert capsys.readouterr().err == (
+            f"output failure: {out}: {out / 'metrics.json'} is a directory\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == ["flower_samples.csv", "metrics.json"]
+        assert (out / "flower_samples.csv").read_text() == "old\n"
+        assert not any((out / "metrics.json").iterdir())
+
     @pytest.mark.parametrize(
         "verb, failing",
         [
