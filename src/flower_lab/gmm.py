@@ -112,18 +112,6 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def component_log_densities(self, x) -> np.ndarray:
-        """log[w_k N(x; mu_k, Sigma)] for each k; shape (..., K)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"x has dimension {x.shape[-1]}, expected {self.dim}")
-        lam, u, means_u = self._factor
-        if not np.all(lam > 0):  # a posterior variance under the double range held as 0
-            raise FloatingPointError("covariance has a zero variance, so no density")
-        # in the factor's basis Sigma is diag(lam): sum z^2 / lam + log(2 pi lam) per k
-        diff = (x if u is None else x @ u)[..., None, :] - means_u  # (..., K, d)
-        return self.log_weights - 0.5 * np.sum(diff * diff / lam + np.log(2.0 * np.pi * lam), -1)
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n i.i.d. samples: categorical component, then noise (z sqrt(lam)) U^T."""
         if n < 1:

@@ -7,13 +7,18 @@ buffers; gradients come from explicit layer-by-layer backpropagation, and
 there is no autodiff anywhere in this package.
 
 A network's parameters are one vector in checkpoint order (W0, b0, W1, b1,
-...), each layer row-major.  A checkpoint is a short JSON header (layer
-sizes, activation tag) followed by that vector as little-endian float64.
+...), each layer row-major, so a layer is one contiguous block [W; b] of
+shape (fan_in + 1, fan_out) with the bias as its last row.  Each layer's
+input carries a trailing column of ones, so one product applies the weights
+and adds the bias, and one product gives the gradient of the whole block.
+A checkpoint is a short JSON header (layer sizes, activation tag) followed by
+that vector as little-endian float64.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -47,21 +52,17 @@ def _silu_backward(grad, z, sig, scratch):
 
 
 def _layer_views(vec, widths):
-    """Per-layer (weights, biases) views of a vector in checkpoint order.
+    """Per-layer views of a vector in checkpoint order: the blocks [W; b].
 
-    The one place that knows the layout: a vector whose length is not the
-    parameter count of the widths is refused.
+    The one place that knows the layout: layer i is a (fan_in + 1, fan_out)
+    view, its weights the first fan_in rows and its bias the last.  A vector
+    whose length is not the parameter count of the widths is refused.
     """
-    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
-    if len(vec) != count:
-        raise ValueError(f"{len(vec)} parameters, but layer sizes {widths} take {count}")
-    weights, biases, at = [], [], 0
-    for fan_in, fan_out in zip(widths, widths[1:]):
-        weights.append(vec[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
-        at += fan_in * fan_out
-        biases.append(vec[at : at + fan_out])
-        at += fan_out
-    return weights, biases
+    shapes = [(fan_in + 1, fan_out) for fan_in, fan_out in zip(widths, widths[1:])]
+    ends = list(accumulate((rows * cols for rows, cols in shapes), initial=0))
+    if len(vec) != ends[-1]:
+        raise ValueError(f"{len(vec)} parameters, but layer sizes {widths} take {ends[-1]}")
+    return [vec[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
 
 class Mlp:
@@ -69,7 +70,7 @@ class Mlp:
 
     The network is the vector ``params`` in checkpoint order (the array given,
     made contiguous) and its widths ``layer_sizes``; its dtype is the vector's,
-    and ``weights`` and ``biases`` are per-layer views of ``params``.
+    and ``layers`` are per-layer views of ``params``, the blocks [W; b].
     """
 
     def __init__(self, params, layer_sizes):
@@ -81,7 +82,7 @@ class Mlp:
             raise ValueError(f"params must be a float vector, got {params.dtype} {params.shape}")
         if not np.all(np.isfinite(params)):
             raise ValueError("parameters contain NaN or Inf")
-        self.weights, self.biases = _layer_views(params, sizes)
+        self.layers = _layer_views(params, sizes)
         self.params, self.dtype, self.layer_sizes = params, params.dtype, list(sizes)
         self.in_dim, self.out_dim = sizes[0], sizes[-1]
 
@@ -89,8 +90,8 @@ class Mlp:
     def initialize(cls, layer_sizes, rng: np.random.Generator, dtype=np.float64):
         """Fan-in scaled uniform init: U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
 
-        Each layer's weights and biases are one draw in checkpoint order, with
-        the same bound for both, so a fixed seed pins every parameter bit.
+        Each layer's block [W; b] is one draw in checkpoint order, with the
+        same bound for weights and bias, so a fixed seed pins every parameter bit.
         """
         draws = [
             rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), (fan_in + 1) * fan_out)
@@ -106,8 +107,13 @@ class MlpWorkspace:
     """Forward and backward passes with buffers preallocated for one batch size.
 
     This is the only implementation of either pass; the trainer and ``MlpField``
-    each keep an instance.  ``grad_w`` and ``grad_b`` are per-layer views of the
-    one vector ``grads``, laid out as the network's ``params``.
+    each keep an instance.  ``h`` holds each layer's input with one trailing
+    column of ones, so a layer is one product with its block [W; b].
+    ``forward`` writes those columns before each product rather than the
+    constructor: a buffer filled at construction is resident from then on,
+    and the trainer builds its workspace before the first exact-OT coupling,
+    the peak of a training process.  ``grad_layers`` are per-layer views of
+    the one vector ``grads``, laid out as the network's ``layers``.
     """
 
     def __init__(self, mlp: Mlp, batch_size: int):
@@ -115,42 +121,41 @@ class MlpWorkspace:
         self.batch_size = batch_size
         dt = mlp.dtype
         widths = mlp.layer_sizes
-        n_hidden = len(mlp.weights) - 1
-        self.z = [np.empty((batch_size, widths[i + 1]), dt) for i in range(n_hidden)]
+        self.h = [np.empty((batch_size, w + 1), dt) for w in widths[:-1]]
+        self.z = [np.empty((batch_size, w), dt) for w in widths[1:-1]]
         self.sig = [np.empty_like(zi) for zi in self.z]
-        self.act = [np.empty_like(zi) for zi in self.z]
         self.out = np.empty((batch_size, widths[-1]), dt)
         self.grad_act = [np.empty_like(zi) for zi in self.z]
         self.scratch = np.empty((batch_size, max(widths[1:])), dt)
         self.grads = np.empty_like(mlp.params)
-        self.grad_w, self.grad_b = _layer_views(self.grads, widths)
+        self.grad_layers = _layer_views(self.grads, widths)
 
     def forward(self, inp: np.ndarray) -> np.ndarray:
-        """The network on inp, shape (batch_size, in_dim), layer by layer into the buffers.
+        """The network on inp, shape (batch_size, in_dim) in the network's dtype.
 
-        Returns the out buffer, which the next call overwrites.
+        Runs layer by layer into the buffers and returns the out buffer, which
+        the next call overwrites.
         """
         mlp, n = self.mlp, self.batch_size
-        if inp.shape != (n, mlp.in_dim):
-            raise ValueError(f"input shape {inp.shape}, expected {(n, mlp.in_dim)}")
-        h = inp
-        for w, b, z, sig, act in zip(mlp.weights, mlp.biases, self.z, self.sig, self.act):
-            np.dot(h, w, out=z)
-            z += b
-            _silu_forward(z, sig, act)
-            h = act
-        np.dot(h, mlp.weights[-1], out=self.out)
-        self.out += mlp.biases[-1]
-        return self.out
+        if inp.shape != (n, mlp.in_dim) or inp.dtype != mlp.dtype:
+            raise ValueError(
+                f"input {inp.dtype} {inp.shape}, expected {mlp.dtype} {(n, mlp.in_dim)}"
+            )
+        self.h[0][:, :-1] = inp
+        for h in self.h:
+            h[:, -1] = 1.0
+        for h, layer, z, sig, h_up in zip(self.h, mlp.layers, self.z, self.sig, self.h[1:]):
+            np.dot(h, layer, out=z)
+            _silu_forward(z, sig, h_up[:, :-1])
+        return np.dot(self.h[-1], mlp.layers[-1], out=self.out)
 
     def loss_and_grad(self, inp: np.ndarray, target: np.ndarray) -> float:
-        """Mean squared error plus gradients, left in grad_w / grad_b.
+        """Mean squared error plus gradients, left in grad_layers.
 
         The loss is mean over the batch of the squared residual norm; the
         residual buffer is reused for its own gradient.
         """
-        n, ws = self.batch_size, self.mlp.weights
-        n_hidden = len(ws) - 1
+        n, layers = self.batch_size, self.mlp.layers
         self.forward(inp)
         self.out -= target  # residual
         loss = float(np.einsum("ij,ij->", self.out, self.out)) / n
@@ -159,14 +164,12 @@ class MlpWorkspace:
 
         self.out *= 2.0 / n
         grad_up = self.out
-        for i in range(n_hidden, -1, -1):
-            h_below = self.act[i - 1] if i > 0 else inp
-            np.dot(h_below.T, grad_up, out=self.grad_w[i])
-            grad_up.sum(axis=0, out=self.grad_b[i])
+        for i in range(len(layers) - 1, -1, -1):
+            np.dot(self.h[i].T, grad_up, out=self.grad_layers[i])
             if i == 0:
                 break
-            grad_up = np.dot(grad_up, ws[i].T, out=self.grad_act[i - 1])
-            scratch = self.scratch[:, : ws[i].shape[0]]
+            grad_up = np.dot(grad_up, layers[i][:-1].T, out=self.grad_act[i - 1])
+            scratch = self.scratch[:, : grad_up.shape[1]]
             _silu_backward(grad_up, self.z[i - 1], self.sig[i - 1], scratch)
         return loss
 

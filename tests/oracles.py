@@ -119,9 +119,22 @@ def mixture_covariance(prior):
     return prior.covariance + (prior.weights[:, None] * centered).T @ centered
 
 
+def component_log_densities(prior, x):
+    """log[w_k N(x; mu_k, Sigma)] for each k of a mixture; shape (..., K)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != prior.dim:
+        raise ValueError(f"x has dimension {x.shape[-1]}, expected {prior.dim}")
+    lam, u, means_u = prior._factor
+    if not np.all(lam > 0):  # a posterior variance under the double range held as 0
+        raise FloatingPointError("covariance has a zero variance, so no density")
+    # in the factor's basis Sigma is diag(lam): sum z^2 / lam + log(2 pi lam) per k
+    diff = (x if u is None else x @ u)[..., None, :] - means_u  # (..., K, d)
+    return prior.log_weights - 0.5 * np.sum(diff * diff / lam + np.log(2.0 * np.pi * lam), -1)
+
+
 def mixture_log_density(prior, x):
     """The mixture's log-density, scipy's logsumexp of its component log-densities."""
-    return logsumexp(prior.component_log_densities(x), axis=-1)
+    return logsumexp(component_log_densities(prior, x), axis=-1)
 
 
 def posterior_by_scipy_cholesky(weights, means, cov, h_dense, noise_std, y):
@@ -291,8 +304,8 @@ def cfm_loss(mlp, x0s, x1s, ts):
     The harness around the network's own backward pass, which is what the
     gradient checks test: interpolates x_t = (1 - t) x0 + t x1, feeds
     (x_t, t) through the network and regresses onto x1 - x0.  Returns
-    (loss, grads) with grads a list of (dW, db) pairs aligned with the
-    network layers.
+    (loss, grads) with grads one block [dW; db] per layer, aligned with the
+    network's ``layers``.
     """
     x0s = np.asarray(x0s, dtype=mlp.dtype)
     x1s = np.asarray(x1s, dtype=mlp.dtype)
@@ -305,17 +318,17 @@ def cfm_loss(mlp, x0s, x1s, ts):
     inp = np.concatenate([(1.0 - tcol) * x0s + tcol * x1s, tcol], axis=1)
     ws = MlpWorkspace(mlp, len(x0s))
     loss = ws.loss_and_grad(inp, x1s - x0s)
-    grads = [(dw.copy(), db.copy()) for dw, db in zip(ws.grad_w, ws.grad_b)]
+    grads = [g.copy() for g in ws.grad_layers]
     return loss, grads
 
 
 def adam_trained_mlp(target_sampler, source_sampler, coupling, cfg, dim=2):
-    """``train_cfm``'s network, with Adam written as a loop over the layers' tensors.
+    """``train_cfm``'s network, with Adam written as a loop over the layers' blocks.
 
     Per step it draws in ``train_cfm``'s documented order (target batch, source
     batch, times, then the coupling), builds the same interpolated inputs and
     targets in the trainer's dtype, and takes the gradients from
-    ``MlpWorkspace.loss_and_grad``.  Each weight and bias array then takes
+    ``MlpWorkspace.loss_and_grad``.  Each layer's block [W; b] then takes
     bias-corrected Adam (beta = (0.9, 0.999), eps = 1e-8) with its own moment
     arrays, in the trainer's order of floating-point operations.  Returns the
     network in the trainer's dtype.
@@ -326,8 +339,7 @@ def adam_trained_mlp(target_sampler, source_sampler, coupling, cfg, dim=2):
     n = cfg.batch_size
     mlp = Mlp.initialize([dim + 1, *cfg.hidden_sizes, dim], rng, dtype=dt)
     ws = MlpWorkspace(mlp, n)
-    params = mlp.weights + mlp.biases
-    grads = ws.grad_w + ws.grad_b
+    params, grads = mlp.layers, ws.grad_layers
     adam_m = [np.zeros_like(p) for p in params]
     adam_v = [np.zeros_like(p) for p in params]
     upd = [np.empty_like(p) for p in params]

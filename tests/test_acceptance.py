@@ -234,9 +234,7 @@ class TestA8Training:
         _, grads = cfm_loss(mlp, x0, x1, ts)
         h = 1e-5
         fd, an = [], []
-        params = mlp.weights + mlp.biases
-        grad_arrays = [gw for gw, _ in grads] + [gb for _, gb in grads]
-        for p, g in zip(params, grad_arrays):
+        for p, g in zip(mlp.layers, grads):  # each block [W; b], bias row included
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index

@@ -25,7 +25,7 @@ from flower_lab.flow import (
 )
 from flower_lab.gmm import GaussianMixture, conditional_mean_x1
 from flower_lab.metrics import sliced_w2
-from flower_lab.mlp import Mlp, MlpWorkspace
+from flower_lab.mlp import Mlp, MlpWorkspace, load_checkpoint, save_checkpoint
 
 from oracles import (
     adam_trained_mlp,
@@ -274,7 +274,7 @@ class TestCfmLoss:
         x = np.array([[0.7, 0.7]])
         loss, grads = cfm_loss(mlp, x, x, [0.5])
         assert loss == 0.0
-        assert all(np.all(g == 0) for gw, gb in grads for g in (gw, gb))
+        assert all(np.all(g == 0) for g in grads)
 
     def test_gradient_matches_finite_differences(self):
         """Analytic backprop vs central differences on a 2->8->8->2 net."""
@@ -287,9 +287,7 @@ class TestCfmLoss:
 
         h = 1e-5
         fd_flat, an_flat = [], []
-        params = mlp.weights + mlp.biases
-        grad_arrays = [gw for gw, _ in grads] + [gb for _, gb in grads]
-        for p, g in zip(params, grad_arrays):
+        for p, g in zip(mlp.layers, grads):  # each block [W; b], bias row included
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -314,13 +312,14 @@ class TestCfmLoss:
 class TestMlp:
     def test_layers_are_views_of_the_parameter_vector(self):
         mlp = Mlp.initialize([3, 8, 8, 2], np.random.default_rng(53), dtype=np.float32)
-        layers = [a for wb in zip(mlp.weights, mlp.biases) for a in wb]
+        assert [a.shape for a in mlp.layers] == [(4, 8), (9, 8), (9, 2)]
         assert mlp.params.dtype == np.float32
-        np.testing.assert_array_equal(mlp.params, np.concatenate([a.ravel() for a in layers]))
-        assert all(np.shares_memory(a, mlp.params) for a in layers)
+        np.testing.assert_array_equal(mlp.params, np.concatenate([a.ravel() for a in mlp.layers]))
+        assert all(np.shares_memory(a, mlp.params) for a in mlp.layers)
         ws = MlpWorkspace(mlp, 4)
         assert ws.grads.shape == mlp.params.shape
-        assert all(np.shares_memory(g, ws.grads) for g in ws.grad_w + ws.grad_b)
+        assert [g.shape for g in ws.grad_layers] == [a.shape for a in mlp.layers]
+        assert all(np.shares_memory(g, ws.grads) for g in ws.grad_layers)
 
     def test_network_is_its_vector_and_takes_its_dtype(self):
         vec = np.random.default_rng(59).standard_normal(26).astype(np.float32)
@@ -332,7 +331,58 @@ class TestMlp:
         assert not np.shares_memory(copy.params, vec)
         np.testing.assert_array_equal(copy.params, vec.astype(np.float64))
         strided = Mlp(np.zeros(52)[::2], [3, 4, 2])  # made contiguous, so the layers are views
-        assert all(np.shares_memory(w, strided.params) for w in strided.weights)
+        assert all(np.shares_memory(a, strided.params) for a in strided.layers)
+
+    def test_forward_is_the_textbook_network_of_the_checkpoint_order(self, tmp_path):
+        """The checkpoint's format and meaning: W_i, b_i sliced in order (W0, b0, W1, b1, ...).
+
+        The workspace gives silu(h @ W + b) layer by layer at two batch sizes,
+        on two calls each with its buffers filled with NaN in between, so each
+        call writes its own ones columns; a save/load round trip gives each
+        layer block [W; b] back as those slices.
+        """
+        sizes = [3, 8, 8, 2]
+        rng = np.random.default_rng(61)
+        mlp = Mlp.initialize(sizes, rng, dtype=np.float64)
+        slices, at = [], 0
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            w = mlp.params[at : at + fan_in * fan_out].reshape(fan_in, fan_out)
+            at += fan_in * fan_out
+            slices.append((w, mlp.params[at : at + fan_out]))
+            at += fan_out
+        assert at == len(mlp.params)
+
+        def textbook(h):
+            for w, b in slices[:-1]:
+                z = h @ w + b
+                h = z / (1.0 + np.exp(-z))
+            w, b = slices[-1]
+            return h @ w + b
+
+        for n in (1, 33):
+            ws = MlpWorkspace(mlp, n)
+            for _ in range(2):
+                inp = rng.standard_normal((n, 3))
+                np.testing.assert_allclose(ws.forward(inp), textbook(inp), rtol=0, atol=1e-12)
+                for buf in ws.h:
+                    buf.fill(np.nan)
+
+        save_checkpoint(mlp, tmp_path / "net.flw")
+        loaded, _ = load_checkpoint(tmp_path / "net.flw")
+        assert len(loaded.layers) == len(slices)
+        for layer, (w, b) in zip(loaded.layers, slices):
+            np.testing.assert_array_equal(layer[:-1], w)
+            np.testing.assert_array_equal(layer[-1], b)
+
+    @pytest.mark.parametrize(
+        "inp",
+        [np.zeros((5, 3)), np.zeros((4, 3), np.float32), np.zeros((5, 2), np.float32)],
+        ids=["float64", "rows", "columns"],
+    )
+    def test_forward_refuses_an_input_not_of_its_shape_and_dtype(self, inp):
+        mlp = Mlp.initialize([3, 4, 2], np.random.default_rng(67), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"expected float32 \(5, 3\)"):
+            MlpWorkspace(mlp, 5).forward(inp)
 
     @pytest.mark.parametrize(
         "params, sizes",
@@ -422,8 +472,7 @@ class TestTrainCfm:
         ]
         (f1, l1), (f2, l2) = runs
         np.testing.assert_array_equal(l1, l2)
-        for w1, w2 in zip(f1.mlp.weights, f2.mlp.weights):
-            np.testing.assert_array_equal(w1, w2)
+        assert f1.mlp.params.tobytes() == f2.mlp.params.tobytes()
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_adam_matches_the_per_tensor_oracle(self, toy_prior, dtype):

@@ -21,6 +21,7 @@ from flower_lab.operators import (
 )
 
 from oracles import (
+    component_log_densities,
     conditional_mean_by_cholesky,
     conditional_mean_in_eigenbasis,
     conditional_mean_by_quadrature,
@@ -119,7 +120,7 @@ class TestLogDensity:
         obs = LinearGaussianObservation(DenseOperator([[1e200, 1e200]]), 0.25, [1.0])
         post = posterior_linear_gaussian(toy_prior, obs)
         with pytest.raises(FloatingPointError, match="zero variance"):
-            post.component_log_densities(post.means)
+            component_log_densities(post, post.means)
 
 
 class TestLogSumExp:
