@@ -3,7 +3,6 @@
 from .gmm import (
     GaussianMixture,
     LinearGaussianObservation,
-    analytic_velocity,
     conditional_mean_x1,
     marginal_at_time,
     posterior_linear_gaussian,

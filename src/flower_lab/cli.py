@@ -43,7 +43,7 @@ from .flow import TrainingDivergedError, euler_sample, standard_normal_sampler, 
 from .flower import FlowerRunError, run_batch
 from .gmm import posterior_linear_gaussian
 from .invariants import run_all
-from .metrics import covariance_logdet, empirical_moments, metric_report, sliced_w2
+from .metrics import covariance_logdet, empirical_moments, sliced_w2
 from .mlp import save_checkpoint
 
 EXIT_OK = 0
@@ -249,7 +249,8 @@ def cmd_solve(args) -> int:
                     ("sliced_w2_noise_floor", floor_a, floor_b),
                 ):
                     dist = sliced_w2(a, b, k, rng=_baseline_rng(solver.seed, 2))
-                    doc["reports"].append(metric_report(name, dist, n, n, k, solver.seed))
+                    doc["reports"].append({"metric": name, "value": dist, "n_a": n, "n_b": n,
+                                           "n_projections": k, "seed": solver.seed})
                 logdet_flower = covariance_logdet(samples)
                 logdet_exact = covariance_logdet(exact)
                 singular = logdet_flower is None or logdet_exact is None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import GaussianMixture, analytic_velocity
+from .gmm import GaussianMixture, conditional_mean_x1
 from .mlp import Mlp, MlpWorkspace
 
 __all__ = [
@@ -53,8 +53,8 @@ class VelocityField:
 class AnalyticGmmField(VelocityField):
     """The exact CFM-optimal field for a Gaussian-mixture target.
 
-    Evaluation at t = 1 is defined by continuity as evaluation at
-    1 - 1e-9, which is all the samplers ever need.
+    v(x, t) = (E[X1 | Xt = x] - x) / (1 - t).  Evaluation at t = 1 is defined
+    by continuity as evaluation at 1 - 1e-9, which is all the samplers ever need.
     """
 
     def __init__(self, prior: GaussianMixture):
@@ -62,7 +62,9 @@ class AnalyticGmmField(VelocityField):
         self.dim = prior.dim
 
     def eval(self, x, t: float) -> np.ndarray:
-        return analytic_velocity(self.prior, x, min(float(t), _T_CLAMP))
+        t = min(float(t), _T_CLAMP)
+        v = conditional_mean_x1(self.prior, x, t)
+        return np.divide(np.subtract(v, x, out=v), 1.0 - t, out=v)
 
 
 class MlpField(VelocityField):
@@ -135,16 +137,14 @@ def _row_block(n_cols: int) -> int:
     return max(1, _OT_BLOCK_BYTES // (8 * max(n_cols, 1)))
 
 
-def _squared_distances(x0s, x1s, out=None) -> np.ndarray:
+def _squared_distances(x0s, x1s, sq0, sq1, out=None) -> np.ndarray:
     """The (n, n) cost |x0_i - x1_j|^2 as (sq0 + sq1) - 2 x0s x1s^T, in one buffer (out)."""
-    sq0 = np.sum(x0s * x0s, axis=1)[:, None]
-    sq1 = np.sum(x1s * x1s, axis=1)[None, :]
     cost = np.matmul(x0s, x1s.T, out=out)
     step = _row_block(cost.shape[1])
     for lo in range(0, len(cost), step):
         rows = cost[lo : lo + step]
         rows *= 2.0
-        np.subtract(sq0[lo : lo + step] + sq1, rows, out=rows)
+        np.subtract(sq0[lo : lo + step, None] + sq1, rows, out=rows)
     return cost
 
 
@@ -222,9 +222,11 @@ class MinibatchOTCoupling:
     cost of every permutation, so the optimal permutations are those of the
     unshifted cost and every level is still solved exactly; the duals only
     shorten scipy's augmenting paths (batch 2048 on one CPU core: about
-    1 s, against 3-4 s for one cold call).  The solver is scipy's compiled
-    extension alone, loaded on first use without the rest of
-    ``scipy.optimize`` (see ``_linear_sum_assignment``).
+    1 s, against 3-4 s for one cold call).  A batch whose cost may overflow
+    is refused first: it is at most 2 (max sq0 + max sq1) in size, from the
+    rows' squared norms.  The solver is scipy's compiled extension alone,
+    loaded on first use without the rest of ``scipy.optimize`` (see
+    ``_linear_sum_assignment``).
     """
 
     def pair(self, x0s, x1s, rng=None):
@@ -236,6 +238,11 @@ class MinibatchOTCoupling:
         """The optimal permutation: row i of x0s pairs with x1s[perm[i]]."""
         # loaded here so that only exact-OT training loads scipy
         linear_sum_assignment = _linear_sum_assignment()
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq0, sq1 = (np.sum(xs * xs, axis=1) for xs in (x0s, x1s))
+            bound = 4.0 * (sq0.max() + sq1.max())  # twice the cost's: room for the duals
+        if not np.isfinite(bound):
+            raise FloatingPointError("exact OT: the batch's cost leaves the float range")
         sizes = [len(x0s)]
         while sizes[-1] > _OT_COLD_SIZE:
             sizes.append((sizes[-1] + 1) // 2)
@@ -243,7 +250,7 @@ class MinibatchOTCoupling:
         m = 0
         for size in reversed(sizes):
             cost = flat[: size * size].reshape(size, size)
-            _squared_distances(x0s[:size], x1s[:size], out=cost)
+            _squared_distances(x0s[:size], x1s[:size], sq0[:size], sq1[:size], out=cost)
             if m:  # its leading m x m block is, bit for bit, the last level's cost
                 v = _c_transform(cost[:m], _row_duals(cost[:m, :m], cols))
                 np.subtract(cost, v, out=cost)
@@ -289,8 +296,8 @@ class TrainConfig:
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, step: int):
-        super().__init__(f"loss became non-finite at step {step}")
+    def __init__(self, step: int, what: str = "loss"):
+        super().__init__(f"{what} became non-finite at step {step}")
         self.step = step
 
 
@@ -313,7 +320,9 @@ def train_cfm(target_sampler, source_sampler, coupling, cfg: TrainConfig, dim: i
     losses has one entry per step.
 
     Raises:
-        TrainingDivergedError: the loss became NaN/Inf (step index attached).
+        TrainingDivergedError: the loss, or the last step's parameters,
+            became NaN/Inf (step index attached).
+        FloatingPointError: the coupling refused a batch; names the step.
     """
     rng = np.random.default_rng(cfg.seed)
     dt = np.dtype(cfg.dtype)
@@ -337,7 +346,10 @@ def train_cfm(target_sampler, source_sampler, coupling, cfg: TrainConfig, dim: i
             x1 = target_sampler(rng, n)
             x0 = source_sampler(rng, n)
             ts = rng.random(n)
-            x0, x1 = coupling.pair(x0, x1, rng)
+            try:
+                x0, x1 = coupling.pair(x0, x1, rng)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} at training step {step}") from exc
 
             tcol = ts[:, None]
             np.multiply(x0, one - tcol, out=inp[:, :d], casting="unsafe")
@@ -366,4 +378,7 @@ def train_cfm(target_sampler, source_sampler, coupling, cfg: TrainConfig, dim: i
             u *= scale
             params -= u
 
+    # each step's loss check catches the step before's overflow, all but the last's
+    if not np.all(np.isfinite(params)):
+        raise TrainingDivergedError(cfg.steps - 1, "parameters")
     return MlpField(mlp.astype(np.float64)), losses

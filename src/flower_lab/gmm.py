@@ -7,12 +7,14 @@ algebra doubles as the exact velocity field.
 
 A mixture holds Sigma as one factor, U diag(lam) U^T, and every reader works
 in that basis, where Sigma and the path covariance t^2 Sigma + (1-t)^2 I are
-diagonal.  Responsibilities are max-shifted in log space: component densities
-underflow long before the math stops being well-conditioned, especially near
-t = 1.  The field keeps them component-major, (K, n): numpy reduces and
-broadcasts along a short last axis row by row, so with K of a few an (n, K)
-softmax spends most of a batch evaluation there.  Everything here is numpy
-alone, so importing the package loads no scipy module.
+diagonal.  The field's responsibilities and the exact posterior's weights are
+normalized one way (``_normalized``, no log-sum-exp): max-shifted in log
+space, since component densities underflow long before the math stops being
+well-conditioned, and divided by their sum.  Responsibilities are
+component-major, (K, n): numpy reduces and broadcasts along a short last axis
+row by row, so with K of a few an (n, K) softmax spends most of a batch
+evaluation there.  Everything here is numpy alone, so importing the package
+loads no scipy module.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "posterior_linear_gaussian",
     "marginal_at_time",
     "conditional_mean_x1",
-    "analytic_velocity",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -122,12 +123,12 @@ class GaussianMixture:
         return self.means[idx] + (z if u is None else z @ u.T)
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, max-shifted; -inf where all of a is -inf."""
-    peak = np.max(a, axis=-1, keepdims=True)
-    peak[~np.isfinite(peak)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - peak), axis=-1)) + peak[..., 0]
+def _normalized(logits: np.ndarray, axis: int) -> np.ndarray:
+    """exp(logits) max-shifted and scaled to sum 1 along axis, in place; all -inf gives NaN."""
+    logits -= logits.max(axis=axis, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=axis, keepdims=True)
+    return logits
 
 
 @dataclass(frozen=True)
@@ -165,10 +166,11 @@ def posterior_linear_gaussian(
         mu_k_post  = mu_k + L V (S / g^2 * r_k)
         w_k_post   ~ w_k exp(-|r_k / g|^2 / 2), summed over the rank of H L
 
-    with weights normalized in log space, where the log-determinant and the
-    part of y - H mu_k outside H's range cancel.  Sigma_post's factor is the
-    SVD of F, or, for U None, V and lam (s / g)^2: F's columns are orthogonal.
-    Nothing forms 1 - gain, so an observed direction keeps its variance at any s.
+    with weights normalized like the field's responsibilities, with no
+    log-sum-exp, where the log-determinant and the part of y - H mu_k outside
+    H's range cancel.  Sigma_post's factor is the SVD of F, or, for U None, V
+    and lam (s / g)^2: F's columns are orthogonal.  Nothing forms 1 - gain, so
+    an observed direction keeps its variance at any s.
     """
     h_dense = obs.operator.dense_matrix()
     s = obs.noise_std
@@ -184,8 +186,7 @@ def posterior_linear_gaussian(
         # past the rank r_k holds rounding, not data
         q = np.where(sv > 0, (obs.observation - prior.means @ h_dense.T) @ w / g, 0.0)
         means_post = prior.means + (q * (sv / g)) @ root.T
-        log_w = prior.log_weights - 0.5 * np.sum(q * q, axis=-1)
-        weights = np.exp(log_w - _logsumexp(log_w))
+        weights = _normalized(prior.log_weights - 0.5 * np.sum(q * q, axis=-1), axis=0)
         if u is None:
             factor = lam * np.square(s / g), v
         else:
@@ -232,16 +233,8 @@ def conditional_mean_x1(prior: GaussianMixture, x, t: float) -> np.ndarray:
     c = means_u * (t / s)
     resp = c @ z.T
     resp += (prior.log_weights - (0.5 * t) * np.sum(means_u * c, axis=-1))[:, None]
-    resp -= resp.max(axis=0)
-    np.exp(resp, out=resp)
-    resp /= resp.sum(axis=0)
+    _normalized(resp, axis=0)
     z *= t * lam / s
     z += resp.T @ (means_u * ((1.0 - t) ** 2 / s))
     return (z if u is None else z @ u.T).reshape(x.shape)
 
-
-def analytic_velocity(prior: GaussianMixture, x, t: float) -> np.ndarray:
-    """The exact CFM-optimal velocity (E[X1 | Xt = x] - x) / (1 - t)."""
-    x = np.asarray(x, dtype=float)
-    v = conditional_mean_x1(prior, x, t)
-    return np.divide(np.subtract(v, x, out=v), 1.0 - t, out=v)

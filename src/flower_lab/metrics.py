@@ -16,7 +16,6 @@ __all__ = [
     "sliced_w2",
     "empirical_moments",
     "covariance_logdet",
-    "metric_report",
 ]
 
 
@@ -70,14 +69,3 @@ def covariance_logdet(s) -> float | None:
         return None
     return float(logdet)
 
-
-def metric_report(metric, value, n_a, n_b, n_projections, seed) -> dict:
-    """The JSON-serializable record shape used by the harness."""
-    return {
-        "metric": metric,
-        "value": float(value),
-        "n_a": int(n_a),
-        "n_b": int(n_b),
-        "n_projections": int(n_projections),
-        "seed": int(seed),
-    }

@@ -61,8 +61,11 @@ def _rank_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     S (d,) descends, V is square and W (m, d) is 0 past column min(m, d).  A
     singular value at or below max(S) max(m, d) eps (numpy's matrix_rank
-    rule) is exactly 0, so a's null space is where S is 0.
+    rule) is exactly 0, so a's null space is where S is 0.  A matrix that is
+    not finite raises FloatingPointError: LAPACK's SVD may never return on one.
     """
+    if not np.all(np.isfinite(a)):
+        raise FloatingPointError("cannot factor a matrix that is not finite")
     m, d = a.shape
     w, sv, vt = np.linalg.svd(a, full_matrices=m < d)
     sv[sv <= sv.max(initial=0.0) * max(m, d) * np.finfo(float).eps] = 0.0

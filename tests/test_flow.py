@@ -194,7 +194,8 @@ class TestCouplings:
             x0 = rng.standard_normal((n, d))
             x1 = rng.standard_normal((n, d))
             np.testing.assert_array_equal(
-                _squared_distances(x0, x1), squared_distance_matrix(x0, x1)
+                _squared_distances(x0, x1, np.sum(x0 * x0, axis=1), np.sum(x1 * x1, axis=1)),
+                squared_distance_matrix(x0, x1),
             )
 
     def test_batch_size_mismatch(self):

@@ -2,17 +2,17 @@
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import softmax
 
 from flower_lab.gmm import (
     GaussianMixture,
     LinearGaussianObservation,
-    _logsumexp,
-    analytic_velocity,
+    _normalized,
     conditional_mean_x1,
     marginal_at_time,
     posterior_linear_gaussian,
 )
+from flower_lab.flow import AnalyticGmmField
 from flower_lab.operators import (
     Circulant1DOperator,
     DenseOperator,
@@ -122,25 +122,6 @@ class TestLogDensity:
         with pytest.raises(FloatingPointError, match="zero variance"):
             component_log_densities(post, post.means)
 
-
-class TestLogSumExp:
-    """The package's max-shifted log-sum-exp against scipy's."""
-
-    def test_finite(self):
-        a = 300.0 * np.random.default_rng(2).standard_normal((7, 5))
-        np.testing.assert_allclose(_logsumexp(a), logsumexp(a, axis=-1), rtol=1e-14)
-        assert _logsumexp(a[0]) == pytest.approx(logsumexp(a[0]), rel=1e-14)
-
-    def test_minus_inf_entry_is_a_zero_weight(self):
-        a = np.array([[np.log(0.25), -np.inf, np.log(0.5)], [-np.inf, 0.0, -800.0]])
-        np.testing.assert_allclose(_logsumexp(a), logsumexp(a, axis=-1), rtol=1e-15)
-        assert _logsumexp(a[0]) == pytest.approx(np.log(0.75), rel=1e-15)
-
-    def test_all_minus_inf(self):
-        a = np.full((2, 3), -np.inf)
-        np.testing.assert_array_equal(_logsumexp(a), logsumexp(a, axis=-1))
-        np.testing.assert_array_equal(_logsumexp(a), [-np.inf, -np.inf])
-
     def test_zero_weight_component_leaves_log_density(self, toy_prior):
         with_zero = GaussianMixture([0.5, 0.0, 0.5], TOY_MEANS, TOY_COV)
         without = GaussianMixture([0.5, 0.5], TOY_MEANS[[0, 2]], TOY_COV)
@@ -148,6 +129,48 @@ class TestLogSumExp:
         np.testing.assert_allclose(
             mixture_log_density(with_zero, x), mixture_log_density(without, x), rtol=1e-14
         )
+
+
+class TestNormalized:
+    """The one weight normalization, of the posterior's weights and the field's
+    responsibilities alike, against scipy's softmax."""
+
+    def test_finite(self):
+        a = 300.0 * np.random.default_rng(2).standard_normal((7, 5))
+        for axis in (0, -1):
+            got = _normalized(a.copy(), axis)
+            np.testing.assert_allclose(got, softmax(a, axis=axis), rtol=1e-14, atol=0)
+            np.testing.assert_allclose(got.sum(axis=axis), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(_normalized(a[0].copy(), 0), softmax(a[0]), rtol=1e-14)
+
+    def test_works_in_place(self):
+        a = np.log([[0.25, 0.5], [0.75, 0.5]])
+        assert _normalized(a, 0) is a
+        np.testing.assert_allclose(a, [[0.25, 0.5], [0.75, 0.5]], rtol=1e-15)
+
+    def test_minus_inf_entry_is_a_zero_weight(self):
+        a = np.array([[np.log(0.25), -np.inf, np.log(0.5)], [-np.inf, 0.0, -800.0]])
+        got = _normalized(a.copy(), -1)
+        np.testing.assert_allclose(got, softmax(a, axis=-1), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(got[0], [1 / 3, 0.0, 2 / 3], rtol=1e-15)
+        assert got[0, 1] == 0.0 and got[1, 0] == 0.0
+
+    def test_tied_log_weights_far_from_zero_share_one(self):
+        """Near -5e37 the log 2 a log-sum-exp adds is lost, and each weight read 1."""
+        got = _normalized(np.array([-5e37, -5e37, -5e37 - 1e25]), 0)
+        np.testing.assert_array_equal(got, [0.5, 0.5, 0.0])
+
+    def test_all_minus_inf_column(self, toy_prior):
+        """An all -inf column is NaN, which the exact posterior refuses as not finite."""
+        a = np.array([[0.0, -np.inf], [-1.0, -np.inf]])
+        with np.errstate(invalid="ignore"):
+            got = _normalized(a, 0)
+        np.testing.assert_allclose(got[:, 0], softmax([0.0, -1.0]), rtol=1e-15)
+        assert np.isnan(got[:, 1]).all()
+        # y = 1e160: every residual's square overflows, so every log-weight is -inf
+        obs = LinearGaussianObservation(DenseOperator([[1.5, 1.5]]), 0.25, [1e160])
+        with pytest.raises(FloatingPointError, match="not finite"):
+            posterior_linear_gaussian(toy_prior, obs)
 
 
 class TestSample:
@@ -187,6 +210,19 @@ class TestPosterior:
         post = posterior_linear_gaussian(toy_prior, obs)
         np.testing.assert_allclose(post.weights, toy_prior.weights, atol=1e-6)
         np.testing.assert_allclose(post.means, toy_prior.means, atol=1e-6)
+
+    def test_tied_weights_far_from_the_data_share_one(self):
+        """y = 1e20 e_1 under 1000 I: every log-weight is about -5e37 and all three tie."""
+        means = np.zeros((3, 8))
+        means[2] = 1.0
+        prior = GaussianMixture([0.25, 0.25, 0.5], means, 1.0)
+        y = np.zeros(8)
+        y[0] = 1e20
+        obs = LinearGaussianObservation(ScaledIdentityOperator(1000.0, dim=8), 0.1, y)
+        weights = posterior_linear_gaussian(prior, obs).weights
+        assert np.isfinite(weights).all()
+        assert weights.sum() == pytest.approx(1.0, rel=1e-15, abs=0)
+        np.testing.assert_array_equal(weights, np.full(3, weights[0]))
 
     def test_conjugate_gaussian_average(self):
         prior = GaussianMixture([1.0], [[2.0, -1.0]], 1.0)
@@ -752,11 +788,13 @@ class TestOneFactor:
 
 
 class TestAnalyticVelocity:
+    """The exact field, (E[X1 | Xt = x] - x) / (1 - t), through AnalyticGmmField."""
+
     def test_consistency_with_conditional_mean(self, toy_prior):
         rng = np.random.default_rng(41)
         for t in (0.0, 0.25, 0.8, 0.999):
             x = rng.uniform(-1, 1, size=2)
-            v = analytic_velocity(toy_prior, x, t)
+            v = AnalyticGmmField(toy_prior).eval(x, t)
             np.testing.assert_allclose(
                 x + (1 - t) * v,
                 conditional_mean_x1(toy_prior, x, t),
@@ -772,14 +810,10 @@ class TestAnalyticVelocity:
             coeff = (2 * t - 1) / (t * t + (1 - t) ** 2)
             x = rng.uniform(-2, 2, size=2)
             np.testing.assert_allclose(
-                analytic_velocity(prior, x, t), coeff * x, rtol=1e-12, atol=1e-15
+                AnalyticGmmField(prior).eval(x, t), coeff * x, rtol=1e-12, atol=1e-15
             )
         np.testing.assert_allclose(
-            analytic_velocity(prior, np.array([1.0, -1.0]), 0.5),
+            AnalyticGmmField(prior).eval(np.array([1.0, -1.0]), 0.5),
             np.zeros(2),
             atol=1e-15,
         )
-
-    def test_rejects_t_at_one(self, toy_prior):
-        with pytest.raises(ValueError):
-            analytic_velocity(toy_prior, np.zeros(2), 1.0)

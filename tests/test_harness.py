@@ -829,6 +829,49 @@ class TestTrain:
         assert [p.name for p in out.iterdir()] == ["loss.csv"]
         assert (out / "loss.csv").read_bytes() == old
 
+    @staticmethod
+    def _keeps_earlier(out, argv):
+        """Run argv into out, which holds an earlier loss curve; return the exit code."""
+        out.mkdir()
+        old = b"# an earlier run's loss curve\nstep,loss\n0,1.0\n"
+        (out / "loss.csv").write_bytes(old)
+        code = main(argv + ["--out", str(out), "--quiet"])
+        assert [p.name for p in out.iterdir()] == ["loss.csv"]
+        assert (out / "loss.csv").read_bytes() == old
+        return code
+
+    def test_non_finite_exact_ot_cost_exits_3(self, tmp_path, capsys):
+        """A mean of 1e200 squares to inf: exact OT refuses the batch before scipy sees it."""
+        text = (CONFIGS_DIR / "toy1.cfg").read_text()
+        for old, new in [
+            ("[0.25, -0.25]]", "[1e200, -0.25]]"),
+            ("batch_size = 2048", "batch_size = 8"),
+            ("steps = 20000", "steps = 2"),
+            ("coupling = independent", "coupling = minibatch_ot"),
+        ]:
+            text = text.replace(old, new)
+        path = tmp_path / "far.cfg"
+        path.write_text(text)
+        assert self._keeps_earlier(tmp_path / "earlier", ["train", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: exact OT: ")
+        assert err.endswith(" at training step 0\n")
+
+    def test_diverged_last_step_exits_3(self, tmp_path, capsys):
+        """One Adam step at learning rate 1e300 leaves parameters no loss check reads."""
+        text = (CONFIGS_DIR / "toy1.cfg").read_text()
+        for old, new in [
+            ("batch_size = 2048", "batch_size = 8"),
+            ("steps = 20000", "steps = 1"),
+            ("learning_rate = 0.001", "learning_rate = 1e300"),
+        ]:
+            text = text.replace(old, new)
+        path = tmp_path / "last.cfg"
+        path.write_text(text)
+        assert self._keeps_earlier(tmp_path / "earlier", ["train", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: parameters became non-finite at step 0\n"
+
     def test_train_requires_train_section(self, tmp_path):
         head, rest = MINI_TOY.split("[train]", 1)
         tail = rest.split("[solver]", 1)[1]
@@ -838,6 +881,35 @@ class TestTrain:
 
 
 DISK_FULL = "[Errno 28] No space left on device"
+
+# three components whose posterior log-weights, about -5e37, tie in rounding
+TIE = """\
+[prior]
+weights = [0.25, 0.25, 0.5]
+means = [[0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1, 1]]
+covariance = 1
+
+[observation]
+operator = scaled_identity
+scale = 1000
+dim = 8
+noise_std = 0.1
+y = [1e20, 0, 0, 0, 0, 0, 0, 0]
+
+[field]
+kind = analytic
+
+[solver]
+n_steps = 7
+gamma = 1
+n_samples = 4
+
+[baselines]
+exact_posterior_samples = true
+
+[outputs]
+directory = out
+"""
 
 
 def disk_full(*args, **kwargs):
@@ -960,6 +1032,34 @@ class TestStagedOutput:
         assert main([verb, "--config", str(path), "--out", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err
         why = "weights, means or covariance factor not finite"
+        assert err == f"numerical failure: exact posterior: {why}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["solve", "posterior-exact"])
+    def test_tied_posterior_weights_are_solved(self, tmp_path, verb):
+        """y = 1e20 e_1 under 1000 I: the three log-weights tie near -5e37 and share 1."""
+        path = tmp_path / "tie.cfg"
+        path.write_text(TIE)
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        for csv in out.glob("*.csv"):
+            lines = read_csv_body(csv)
+            samples = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[3:]])
+            assert samples.shape == (4, 8) and np.isfinite(samples).all()
+        if verb == "solve":
+            doc = json.loads((out / "metrics.json").read_text())
+            assert all(np.isfinite(r["value"]) for r in doc["reports"])
+
+    @pytest.mark.parametrize("verb", ["solve", "posterior-exact"])
+    def test_non_finite_h_times_the_prior_factor_exits_3(self, tmp_path, capsys, verb):
+        """H L_Sigma overflows (1e200 * 1e150) and is refused: LAPACK can hang on it."""
+        path = tmp_path / "over.cfg"
+        text = MINI_TOY.replace("covariance = 0.0625", "covariance = [[1e300, 0.0], [0.0, 1.0]]")
+        path.write_text(text.replace("h = [1.5, 1.5]", "h = [1e200, 1.5]"))
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        why = "cannot factor a matrix that is not finite"
         assert err == f"numerical failure: exact posterior: {why}\n"
         assert not out.exists()
 

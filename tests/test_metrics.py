@@ -1,12 +1,15 @@
 """Wasserstein distances, moments and the metric report format."""
 
+import json
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from flower_lab.cli import main
 from flower_lab.gmm import GaussianMixture
-from flower_lab.metrics import covariance_logdet, empirical_moments, metric_report, sliced_w2
+from flower_lab.metrics import covariance_logdet, empirical_moments, sliced_w2
+from conftest import MINI_TOY
 from oracles import exact_w2, wasserstein1d
 
 
@@ -195,13 +198,23 @@ class TestCovarianceLogdet:
 
 
 class TestMetricReport:
-    def test_shape(self):
-        rep = metric_report("sliced_w2", 0.125, 5000, 5000, 128, 42)
-        assert rep == {
-            "metric": "sliced_w2",
-            "value": 0.125,
-            "n_a": 5000,
-            "n_b": 5000,
-            "n_projections": 128,
-            "seed": 42,
-        }
+    def test_shape(self, tmp_path):
+        """Each sliced-W2 record in a solve's metrics.json, key by key and type by type."""
+        path = tmp_path / "mini.cfg"
+        path.write_text(MINI_TOY)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        reports = json.loads((out / "metrics.json").read_text())["reports"]
+        assert [r["metric"] for r in reports] == [
+            "sliced_w2_flower_vs_exact_posterior",
+            "sliced_w2_noise_floor",
+        ]
+        for rep in reports:
+            assert sorted(rep) == ["metric", "n_a", "n_b", "n_projections", "seed", "value"]
+            assert isinstance(rep["value"], float) and rep["value"] > 0
+            assert {k: rep[k] for k in ("n_a", "n_b", "n_projections", "seed")} == {
+                "n_a": 40,
+                "n_b": 40,
+                "n_projections": 128,
+                "seed": 5,
+            }

@@ -10,6 +10,7 @@ from flower_lab.operators import (
     MaskOperator,
     ScaledIdentityOperator,
     SpdSolveError,
+    _rank_svd,
     solve_spd,
 )
 
@@ -210,6 +211,13 @@ class TestConstruction:
             Circulant1DOperator([1.0, np.nan])
         with pytest.raises(ValueError):
             DenseOperator([[np.inf, 0.0]])
+
+    def test_non_finite_matrix_is_not_factored(self):
+        """LAPACK's SVD of this 3 x 8 matrix with a row of inf never returns."""
+        a = np.ones((3, 8))
+        a[0] = np.inf
+        with pytest.raises(FloatingPointError, match="not finite"):
+            _rank_svd(a)
 
     def test_mask_bounds(self):
         with pytest.raises(ValueError):
